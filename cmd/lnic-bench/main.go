@@ -120,6 +120,7 @@ import (
 	"lambdanic/internal/experiments"
 	"lambdanic/internal/obs"
 	"lambdanic/internal/sim"
+	"lambdanic/internal/telemetry"
 )
 
 func main() {
@@ -317,20 +318,8 @@ func run(args []string) error {
 			return err
 		}
 		out(experiments.RenderChaos(rep))
-		if rep.SLO != nil {
-			path := *sloOut
-			if path == "" {
-				path = "SLO_chaos.json"
-			}
-			data, err := rep.SLO.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("lnic-bench: wrote SLO report (%d samples) to %s\n",
-				len(rep.SLO.Samples), path)
+		if err := writeSLO(*sloOut, "SLO_chaos.json", rep.SLO); err != nil {
+			return err
 		}
 		if *traceOut != "" {
 			if err := obs.WriteChromeTraceFileWithMarks(*traceOut, rep.Requests, rep.Marks); err != nil {
@@ -357,20 +346,8 @@ func run(args []string) error {
 		if err := benchReport(*benchOut, "BENCH_tenants.json", "", rep.Bench(), "", nil); err != nil {
 			return err
 		}
-		if rep.SLO != nil {
-			path := *sloOut
-			if path == "" {
-				path = "SLO_tenants.json"
-			}
-			data, err := rep.SLO.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("lnic-bench: wrote SLO report (%d samples) to %s\n",
-				len(rep.SLO.Samples), path)
+		if err := writeSLO(*sloOut, "SLO_tenants.json", rep.SLO); err != nil {
+			return err
 		}
 		if !rep.Isolated {
 			return fmt.Errorf("tenants: isolation bound violated (interactive p99 during burst %v > %v, final burn %.2fx)",
@@ -501,6 +478,26 @@ func run(args []string) error {
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
+	return nil
+}
+
+// writeSLO writes an experiment's SLO report JSON to outPath (fallback
+// when empty); a nil report writes nothing.
+func writeSLO(outPath, fallback string, slo *telemetry.SLOReport) error {
+	if slo == nil {
+		return nil
+	}
+	if outPath == "" {
+		outPath = fallback
+	}
+	data, err := slo.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("lnic-bench: wrote SLO report (%d samples) to %s\n", len(slo.Samples), outPath)
 	return nil
 }
 

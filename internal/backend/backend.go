@@ -61,10 +61,22 @@ type Backend interface {
 	Usage() Usage
 }
 
-// Traced is implemented by backends that can attach a request-lifecycle
-// span container to each invocation. A nil tr behaves like Invoke.
+// Request is one invocation: the lambda and its payload, plus an
+// optional flow key (dispatch.FlowKey of client source × workload) for
+// the NIC's per-core warm-state model and an optional span container
+// for the request's lifecycle trace. Zero Flow and nil Trace mean
+// untracked.
+type Request struct {
+	ID      uint32
+	Payload []byte
+	Flow    uint64
+	Trace   *obs.Req
+}
+
+// Traced is implemented by backends that take a full Request. Call
+// with only ID and Payload set behaves like Invoke.
 type Traced interface {
-	InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Result))
+	Call(req Request, done func(Result))
 }
 
 // ErrNotDeployed is returned when Invoke precedes Deploy.
@@ -111,7 +123,6 @@ type LambdaNIC struct {
 	// maxInflight tracks the peak number of concurrent requests, for
 	// NIC memory accounting.
 	inflight, maxInflight int
-	maxPayload            int
 
 	// One-sided KV bypass state (EnableKVBypass): the EMEM-resident
 	// table registered as an RDMA region, the QP its reads go through,
@@ -181,11 +192,9 @@ func (b *LambdaNIC) Deploy(ws []*workloads.Workload) error {
 	return nil
 }
 
-// Invoke implements Backend: wire transfer to the NIC (RDMA commit for
-// multi-packet RPCs), run-to-completion execution on an NPU thread, and
-// the response's wire trip back.
+// Invoke implements Backend: Call without a flow key or trace.
 func (b *LambdaNIC) Invoke(id uint32, payload []byte, done func(Result)) {
-	b.InvokeTraced(id, payload, nil, done)
+	b.Call(Request{ID: id, Payload: payload}, done)
 }
 
 // EnableKVBypass arms the one-sided KV GET fast path for the given
@@ -215,17 +224,12 @@ func (b *LambdaNIC) BypassStats() (hits, fallbacks uint64) { return b.kvHits, b.
 // RDMA exposes the backend's RDMA engine (counters, Describe).
 func (b *LambdaNIC) RDMA() *rdma.Engine { return b.rdma }
 
-// InvokeTraced implements Traced: like Invoke, additionally recording
-// the transport hops (wire trips, RDMA commit) into tr and threading tr
-// through the NIC so queue wait and execution are attributed too.
-func (b *LambdaNIC) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Result)) {
-	b.InvokeFlow(id, payload, 0, tr, done)
-}
-
-// InvokeFlow is InvokeTraced carrying a flow key (dispatch.FlowKey of
-// client source × workload) into the NIC's per-core warm-state model.
-// Zero means untracked.
-func (b *LambdaNIC) InvokeFlow(id uint32, payload []byte, flow uint64, tr *obs.Req, done func(Result)) {
+// Call implements Traced on the caller's clock: the request's wire
+// hop, Serve, and the response's wire hop, with both hops recorded into
+// req.Trace. A multi-packet request takes no request hop here: Serve's
+// RDMA commit models the wire. A KV GET armed by EnableKVBypass is
+// served client-side, ahead of any hop.
+func (b *LambdaNIC) Call(req Request, done func(Result)) {
 	if done == nil {
 		done = func(Result) {}
 	}
@@ -237,13 +241,13 @@ func (b *LambdaNIC) InvokeFlow(id uint32, payload []byte, flow uint64, tr *obs.R
 	// table's probe window, never dispatching an NPU thread. Bypass
 	// requests stage no payload in NIC memory, so they skip the
 	// inflight working-set accounting.
-	if b.kvTable != nil && id == b.kvBypassID {
-		if key, isGet := workloads.KVRequestKey(payload); isGet {
-			b.invokeKVBypass(key, payload, tr, done)
+	if b.kvTable != nil && req.ID == b.kvBypassID {
+		if key, isGet := workloads.KVRequestKey(req.Payload); isGet {
+			b.invokeKVBypass(key, req, done)
 			return
 		}
 	}
-	b.invokeLambda(id, payload, flow, tr, done)
+	b.invokeLambda(req, done)
 }
 
 // invokeKVBypass serves one GET over the one-sided path: the key's
@@ -251,7 +255,8 @@ func (b *LambdaNIC) InvokeFlow(id uint32, payload []byte, flow uint64, tr *obs.R
 // flushed under one doorbell, then scanned client-side. A miss falls
 // back to the lambda path — the read round trip was the price of
 // optimism.
-func (b *LambdaNIC) invokeKVBypass(key string, payload []byte, tr *obs.Req, done func(Result)) {
+func (b *LambdaNIC) invokeKVBypass(key string, req Request, done func(Result)) {
+	tr := req.Trace
 	start := b.sim.Now()
 	aOff, aLen, bOff, bLen := b.kvTable.ProbeWindow(key)
 	window := make([]byte, aLen+bLen)
@@ -273,7 +278,7 @@ func (b *LambdaNIC) invokeKVBypass(key string, payload []byte, tr *obs.Req, done
 			return
 		}
 		b.kvFallbacks++
-		b.invokeLambda(b.kvBypassID, payload, 0, tr, done)
+		b.invokeLambda(req, done)
 	}
 	b.kvQP.PostRead(b.kvRegion.Key(), aOff, aLen, func(data []byte, err error) {
 		if err == nil {
@@ -292,129 +297,83 @@ func (b *LambdaNIC) invokeKVBypass(key string, payload []byte, tr *obs.Req, done
 	b.kvQP.RingDoorbell()
 }
 
-// invokeLambda is the lambda-invocation path shared by InvokeFlow
-// and the bypass fallback.
-func (b *LambdaNIC) invokeLambda(id uint32, payload []byte, flow uint64, tr *obs.Req, done func(Result)) {
+// invokeLambda is the lambda path of Call, shared with the bypass
+// fallback. The request counts as in flight from here until its
+// response hop lands.
+func (b *LambdaNIC) invokeLambda(req Request, done func(Result)) {
 	b.inflight++
 	if b.inflight > b.maxInflight {
 		b.maxInflight = b.inflight
 	}
-	if len(payload) > b.maxPayload {
-		b.maxPayload = len(payload)
-	}
-	finish := func(r Result) {
-		b.inflight--
-		done(r)
-	}
-	packets := workloads.Packets(len(payload))
-	sent := b.sim.Now()
-	inject := func() {
-		req := &nicsim.Request{LambdaID: id, Payload: payload, Packets: packets, FlowKey: flow, Trace: tr}
-		b.nic.Inject(req, func(resp nicsim.Response, err error) {
-			if err != nil {
-				finish(Result{Err: err})
-				return
-			}
-			// Response wire trip back to the caller.
-			back := b.testbed.Link.OneWay(len(resp.Payload))
-			if tr != nil {
-				now := b.sim.Now()
-				tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
-			}
-			b.sim.Schedule(back, func() {
-				finish(Result{Payload: resp.Payload})
-			})
+	tr := req.Trace
+	back := func(r Result, hop sim.Time) {
+		if r.Err != nil {
+			b.inflight--
+			done(r)
+			return
+		}
+		if tr != nil {
+			now := b.sim.Now()
+			tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+hop)
+		}
+		b.sim.Schedule(hop, func() {
+			b.inflight--
+			done(r)
 		})
 	}
-	if packets > 1 {
-		// Multi-packet RPC: commit the payload into NIC memory over
-		// RDMA; the completion event triggers the lambda (D3).
-		b.rdma.Write(b.region.Key(), 0, payload, func(err error) {
-			if err != nil {
-				finish(Result{Err: err})
-				return
-			}
-			if tr != nil {
-				tr.AddSpan(obs.StageTransport, "net", "rdma-commit", sent, b.sim.Now())
-			}
-			inject()
-		})
+	if workloads.Packets(len(req.Payload)) > 1 {
+		b.Serve(req, back)
 		return
 	}
 	// Single-packet RPC: one wire hop into the parse+match pipeline.
-	wire := b.testbed.Link.OneWay(len(payload))
+	sent := b.sim.Now()
+	wire := b.testbed.Link.OneWay(len(req.Payload))
 	if tr != nil {
 		tr.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
 	}
-	b.sim.Schedule(wire, inject)
+	b.sim.Schedule(wire, func() { b.Serve(req, back) })
 }
 
-// WireDelay returns the one-way link latency for a payload of n bytes —
-// the delay a parallel-domain caller must model for the request hop it
-// performs itself (sim.Parallel Send).
-func (b *LambdaNIC) WireDelay(n int) sim.Time { return b.testbed.Link.OneWay(n) }
-
-// InvokeDelivered runs an invocation whose request already crossed the
-// wire: the caller modeled the request hop (typically as a cross-domain
-// sim.Parallel message of WireDelay latency), so the NIC injects at the
-// current time. done fires at NIC completion time with the response's
-// wire delay, which the caller models on the way back. Event-for-event
-// this matches InvokeTraced on a shared clock: the request hop and
-// response hop each cost exactly one scheduled event in either mode,
-// which is what keeps parallel and merged chaos runs differentially
-// identical. Multi-packet payloads still pay the RDMA commit here,
-// device-side.
-func (b *LambdaNIC) InvokeDelivered(id uint32, payload []byte, tr *obs.Req, done func(Result, sim.Time)) {
-	b.InvokeFlowDelivered(id, payload, 0, tr, done)
-}
-
-// InvokeFlowDelivered is InvokeDelivered carrying a flow key into the
-// NIC's per-core warm-state model (zero means untracked). It is the
-// parallel-domain twin of InvokeFlow: identical event counts keep
-// serial and parallel runs differentially identical.
-func (b *LambdaNIC) InvokeFlowDelivered(id uint32, payload []byte, flow uint64, tr *obs.Req, done func(Result, sim.Time)) {
-	if done == nil {
-		done = func(Result, sim.Time) {}
-	}
+// Serve is the device side of one invocation whose request has reached
+// the NIC: a multi-packet payload is first committed into NIC memory
+// over RDMA, whose completion triggers the lambda (D3); the lambda then
+// runs to completion on an NPU thread. done fires at completion with
+// the result and the response's wire delay back to the caller, or zero
+// on error, when nothing is sent. The caller models both wire hops, on
+// its own clock (Call) or as cross-domain messages.
+func (b *LambdaNIC) Serve(req Request, done func(Result, sim.Time)) {
 	if b.exe == nil {
 		done(Result{Err: ErrNotDeployed}, 0)
 		return
 	}
-	b.inflight++
-	if b.inflight > b.maxInflight {
-		b.maxInflight = b.inflight
-	}
-	if len(payload) > b.maxPayload {
-		b.maxPayload = len(payload)
-	}
-	packets := workloads.Packets(len(payload))
-	inject := func() {
-		req := &nicsim.Request{LambdaID: id, Payload: payload, Packets: packets, FlowKey: flow, Trace: tr}
-		b.nic.Inject(req, func(resp nicsim.Response, err error) {
-			b.inflight--
-			if err != nil {
-				done(Result{Err: err}, 0)
-				return
-			}
-			done(Result{Payload: resp.Payload}, b.testbed.Link.OneWay(len(resp.Payload)))
-		})
-	}
-	if packets > 1 {
-		sent := b.sim.Now()
-		b.rdma.Write(b.region.Key(), 0, payload, func(err error) {
-			if err != nil {
-				b.inflight--
-				done(Result{Err: err}, 0)
-				return
-			}
-			if tr != nil {
-				tr.AddSpan(obs.StageTransport, "net", "rdma-commit", sent, b.sim.Now())
-			}
-			inject()
-		})
+	packets := workloads.Packets(len(req.Payload))
+	if packets == 1 {
+		b.inject(req, packets, done)
 		return
 	}
-	inject()
+	sent := b.sim.Now()
+	b.rdma.Write(b.region.Key(), 0, req.Payload, func(err error) {
+		if err != nil {
+			done(Result{Err: err}, 0)
+			return
+		}
+		if req.Trace != nil {
+			req.Trace.AddSpan(obs.StageTransport, "net", "rdma-commit", sent, b.sim.Now())
+		}
+		b.inject(req, packets, done)
+	})
+}
+
+// inject runs the lambda on an NPU thread for Serve.
+func (b *LambdaNIC) inject(req Request, packets int, done func(Result, sim.Time)) {
+	nreq := &nicsim.Request{LambdaID: req.ID, Payload: req.Payload, Packets: packets, FlowKey: req.Flow, Trace: req.Trace}
+	b.nic.Inject(nreq, func(resp nicsim.Response, err error) {
+		if err != nil {
+			done(Result{Err: err}, 0)
+			return
+		}
+		done(Result{Payload: resp.Payload}, b.testbed.Link.OneWay(len(resp.Payload)))
+	})
 }
 
 // Usage implements Backend: λ-NIC consumes NIC memory (firmware plus
@@ -502,17 +461,18 @@ func (h *Host) Deploy(ws []*workloads.Workload) error {
 	return nil
 }
 
-// Invoke implements Backend: wire trip, kernel + dispatch + execution
-// on the CPU model, wire trip back.
+// Invoke implements Backend: Call without a trace.
 func (h *Host) Invoke(id uint32, payload []byte, done func(Result)) {
-	h.InvokeTraced(id, payload, nil, done)
+	h.Call(Request{ID: id, Payload: payload}, done)
 }
 
-// InvokeTraced implements Traced: the wire trips are attributed to
-// transport and the whole CPU-side service (kernel, dispatch,
-// execution, context switches) to the host stage — the paper's point
-// is precisely that the host path is one opaque expensive stage.
-func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Result)) {
+// Call implements Traced on the caller's clock: the request's wire hop,
+// Serve, and the response's wire hop. The hops are attributed to
+// transport and the whole CPU-side service to the host stage — the
+// paper's point is precisely that the host path is one opaque
+// expensive stage. The request counts as in flight until its response
+// hop lands.
+func (h *Host) Call(req Request, done func(Result)) {
 	if done == nil {
 		done = func(Result) {}
 	}
@@ -524,61 +484,38 @@ func (h *Host) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(Re
 	if h.inflight > h.maxInflight {
 		h.maxInflight = h.inflight
 	}
-	packets := workloads.Packets(len(payload))
 	sent := h.sim.Now()
-	wire := h.testbed.Link.OneWay(len(payload))
-	if tr != nil {
-		tr.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
+	wire := h.testbed.Link.OneWay(len(req.Payload))
+	if req.Trace != nil {
+		req.Trace.AddSpan(obs.StageTransport, "net", "request-wire", sent, sent+wire)
 	}
 	h.sim.Schedule(wire, func() {
-		submitted := h.sim.Now()
-		h.host.Submit(id, len(payload), packets, func(err error) {
-			now := h.sim.Now()
-			back := h.testbed.Link.OneWay(256)
-			if tr != nil {
-				tr.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, now)
-				tr.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
+		h.Serve(req, func(r Result, back sim.Time) {
+			if req.Trace != nil {
+				now := h.sim.Now()
+				req.Trace.AddSpan(obs.StageTransport, "net", "response-wire", now, now+back)
 			}
 			h.sim.Schedule(back, func() {
 				h.inflight--
-				done(Result{Err: err})
+				done(r)
 			})
 		})
 	})
 }
 
-// WireDelay returns the one-way link latency for a payload of n bytes —
-// the delay a parallel-domain caller must model for the request hop it
-// performs itself (sim.Parallel Send).
-func (h *Host) WireDelay(n int) sim.Time { return h.testbed.Link.OneWay(n) }
-
-// InvokeDelivered runs an invocation whose request already crossed the
-// wire: the caller modeled the request hop (typically as a cross-domain
-// sim.Parallel message of WireDelay latency), so the host submits at
-// the current time. done fires at service completion with the
-// response's wire delay, which the caller models on the way back. It
-// is the parallel-domain twin of InvokeTraced: the request hop and
-// response hop each cost exactly one scheduled event in either mode,
-// which keeps serial and parallel boundary runs differentially
-// identical.
-func (h *Host) InvokeDelivered(id uint32, payload []byte, tr *obs.Req, done func(Result, sim.Time)) {
-	if done == nil {
-		done = func(Result, sim.Time) {}
-	}
+// Serve is the device side of one invocation whose request has reached
+// the host: kernel, dispatch and execution on the CPU model. done fires
+// at service completion with the result and the response's wire delay
+// back to the caller, which models both wire hops.
+func (h *Host) Serve(req Request, done func(Result, sim.Time)) {
 	if !h.deployed {
 		done(Result{Err: ErrNotDeployed}, 0)
 		return
 	}
-	h.inflight++
-	if h.inflight > h.maxInflight {
-		h.maxInflight = h.inflight
-	}
-	packets := workloads.Packets(len(payload))
 	submitted := h.sim.Now()
-	h.host.Submit(id, len(payload), packets, func(err error) {
-		h.inflight--
-		if tr != nil {
-			tr.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, h.sim.Now())
+	h.host.Submit(req.ID, len(req.Payload), workloads.Packets(len(req.Payload)), func(err error) {
+		if req.Trace != nil {
+			req.Trace.AddSpan(obs.StageHost, "host/"+h.name, "service", submitted, h.sim.Now())
 		}
 		done(Result{Err: err}, h.testbed.Link.OneWay(256))
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/metrics"
-	"lambdanic/internal/nicsim"
 	"lambdanic/internal/placement"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/workloads"
@@ -401,152 +399,49 @@ func (r *BoundaryReport) Row(policy string) *BoundaryPolicyStat {
 	return nil
 }
 
-// boundaryTopology is the seam between the harness and one policy's
-// cluster: a NIC route, a host route, and the run/fingerprint hooks.
-type boundaryTopology struct {
-	ctrl     *sim.Sim
-	nic      func(name string, id uint32, payload []byte, done func(backend.Result))
-	host     func(id uint32, payload []byte, done func(backend.Result))
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func boundaryNIC(cfg Config, bc BoundaryConfig, s *sim.Sim, wls []*workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNIC(s, bc.testbed(cfg), nicsim.DispatchUniform)
-	if err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	if err := b.Deploy(wls); err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	return b, nil
-}
-
-func boundaryHost(cfg Config, s *sim.Sim, wls []*workloads.Workload) (*backend.Host, error) {
-	h, err := backend.NewBareMetalQuiet(s, cfg.Testbed)
-	if err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	if err := h.Deploy(wls); err != nil {
-		return nil, fmt.Errorf("boundary: %w", err)
-	}
-	return h, nil
-}
-
 // Boundary runs all three policies with each cluster on one clock.
 func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
-	bc = bc.withDefaults()
-	sched := boundarySchedule(cfg, bc)
-	names := chaosNames(bc.NICs)
-	rep := &BoundaryReport{Domains: 1}
-	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
-		wls := bc.workloadSet()
-		s := cfg.newSim()
-		nics := make(map[string]*backend.LambdaNIC, bc.NICs)
-		for _, name := range names {
-			b, err := boundaryNIC(cfg, bc, s, wls)
-			if err != nil {
-				return nil, err
-			}
-			nics[name] = b
-		}
-		host, err := boundaryHost(cfg, s, wls)
-		if err != nil {
-			return nil, err
-		}
-		topo := &boundaryTopology{
-			ctrl: s,
-			nic: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-				nics[name].InvokeTraced(id, payload, nil, done)
-			},
-			host: func(id uint32, payload []byte, done func(backend.Result)) {
-				host.InvokeTraced(id, payload, nil, done)
-			},
-			run:      s.RunUntilIdle,
-			executed: func() uint64 { return s.Executed },
-			clock:    s.Now,
-			domains:  1,
-		}
-		row, err := boundaryRun(cfg, bc, wls, names, topo, sched, policy)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	rep.Pareto = boundaryVerdict(bc, rep)
-	return rep, nil
+	return boundary(cfg, bc, false)
 }
 
 // BoundaryParallel runs the same three clusters with each NIC and the
-// host in their own simulation domains under the conservative parallel
-// coordinator; wire hops cost exactly one scheduled event each, as in
-// the serial path, so the report is bit-identical to Boundary.
+// host in their own simulation domains (see rack); the report is
+// bit-identical to Boundary.
 func BoundaryParallel(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
+	return boundary(cfg, bc, true)
+}
+
+func boundary(cfg Config, bc BoundaryConfig, parallel bool) (*BoundaryReport, error) {
 	bc = bc.withDefaults()
 	sched := boundarySchedule(cfg, bc)
-	names := chaosNames(bc.NICs)
-	tb := bc.testbed(cfg)
-	rep := &BoundaryReport{Domains: 2 + bc.NICs}
+	rep := &BoundaryReport{}
 	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
 		wls := bc.workloadSet()
-		p := sim.NewParallel(tb.Link.OneWay(0))
-		ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		doms := make(map[string]*sim.Domain, bc.NICs)
-		nics := make(map[string]*backend.LambdaNIC, bc.NICs)
-		for _, name := range names {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := boundaryNIC(cfg, bc, d.Sim, wls)
-			if err != nil {
-				return nil, err
-			}
-			doms[name], nics[name] = d, b
-		}
-		hd := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		host, err := boundaryHost(cfg, hd.Sim, wls)
+		rk, err := newRack(cfg, rackSpec{
+			name: "boundary", testbed: bc.testbed(cfg), workers: bc.NICs,
+			deploy: wls, host: true,
+		}, parallel)
 		if err != nil {
 			return nil, err
 		}
-		topo := &boundaryTopology{
-			ctrl: ctrl.Sim,
-			nic: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-				d, b := doms[name], nics[name]
-				ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-					b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-						d.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
-			},
-			host: func(id uint32, payload []byte, done func(backend.Result)) {
-				ctrl.Send(hd.ID(), host.WireDelay(len(payload)), func() {
-					host.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-						hd.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
-			},
-			run:      p.RunUntilIdle,
-			executed: p.Executed,
-			clock:    p.Clock,
-			domains:  2 + len(names),
-		}
-		row, err := boundaryRun(cfg, bc, wls, names, topo, sched, policy)
+		row, err := boundaryRun(cfg, bc, wls, rk, sched, policy)
 		if err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, row)
+		rep.Domains = rk.domains()
 	}
 	rep.Pareto = boundaryVerdict(bc, rep)
 	return rep, nil
 }
 
-// boundaryRun is the topology-independent harness for one policy:
+// boundaryRun is the harness for one policy's cluster:
 // replay the shared schedule through the policy's routing, and — for
 // the dynamic policy — run the control loop (autoscaler pool sizing,
 // shadow probes, placement engine, three-step migrations) on the
 // virtual clock.
-func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names []string, topo *boundaryTopology, sched []boundaryArrival, policy string) (BoundaryPolicyStat, error) {
-	s := topo.ctrl
+func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *rack, sched []boundaryArrival, policy string) (BoundaryPolicyStat, error) {
+	s := rk.ctrl
 	end := sim.Time(bc.totalDur())
 	nicThreads := float64(2) // per down-binned NIC
 	hostThreads := float64(cfg.Testbed.Host.PhysicalCores * cfg.Testbed.Host.ThreadsPerCore)
@@ -619,13 +514,13 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 			nicInflight++
 			w := rr % pool
 			rr++
-			topo.nic(names[w], wls[class].ID, payload, func(res backend.Result) {
+			rk.call(rk.names[w], backend.Request{ID: wls[class].ID, Payload: payload}, func(res backend.Result) {
 				nicInflight--
 				finish(res)
 			})
 		} else {
 			hostInflight++
-			topo.host(wls[class].ID, payload, func(res backend.Result) {
+			rk.callHost(backend.Request{ID: wls[class].ID, Payload: payload}, func(res backend.Result) {
 				hostInflight--
 				finish(res)
 			})
@@ -781,10 +676,10 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 		})
 	}
 
-	if err := topo.run(); err != nil {
+	if err := rk.run(); err != nil {
 		return BoundaryPolicyStat{}, fmt.Errorf("boundary/%s: %w", policy, err)
 	}
-	accrueCost(topo.clock())
+	accrueCost(rk.clock())
 	if policy == BoundaryPolicyHost {
 		coreSeconds = 0
 	}
@@ -798,8 +693,8 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, names
 		P999:           time.Duration(overall.P999() * float64(time.Second)),
 		ScaleOps:       scaleOps,
 		NICCoreSeconds: coreSeconds,
-		Executed:       topo.executed(),
-		FinalClock:     time.Duration(topo.clock()),
+		Executed:       rk.executed(),
+		FinalClock:     time.Duration(rk.clock()),
 	}
 	if eng != nil {
 		row.Migrations = eng.Migrations()
@@ -866,10 +761,7 @@ func boundaryVerdict(bc BoundaryConfig, rep *BoundaryReport) bool {
 // (BENCH_boundary.json): one row per policy plus per-phase rows, with
 // virtual-clock percentiles suitable for benchio.GuardLatency.
 func (r *BoundaryReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := benchio.NewReport(nil)
 	for _, row := range r.Rows {
 		res := benchio.Result{
 			Name:      "boundary/" + row.Policy,

@@ -87,6 +87,7 @@ func TestBoundaryQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	checkGolden(t, "boundary", out)
 	bench := rep.Bench()
 	if want := 3 * (1 + len(boundaryPhases)); len(bench.Results) != want {
 		t.Fatalf("bench rows = %d, want %d", len(bench.Results), want)

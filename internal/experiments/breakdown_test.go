@@ -64,6 +64,7 @@ func TestLatencyBreakdownAttribution(t *testing.T) {
 			t.Errorf("%s: coverage %.4f outside [0.99, 1.01]", wb.Label, wb.Coverage)
 		}
 	}
+	checkGolden(t, "breakdown", RenderLatencyBreakdown(rep))
 }
 
 // TestLatencyBreakdownChromeExport checks the traced run exports valid

@@ -11,7 +11,6 @@ import (
 	"lambdanic/internal/faults"
 	"lambdanic/internal/healthd"
 	"lambdanic/internal/metrics"
-	"lambdanic/internal/nicsim"
 	"lambdanic/internal/obs"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
@@ -181,11 +180,10 @@ const (
 // a per-attempt timeout and failover — the gateway's weakly-consistent
 // delivery (D3) against a fleet that can lose members mid-run. Routes
 // come from the control store's placement watch; the actual round trip
-// to a worker goes through the topology's route function, so the router
-// is oblivious to whether the fleet shares its clock.
+// to a worker goes through the rack, so the router is oblivious to
+// whether the fleet shares its clock.
 type chaosRouter struct {
-	s        *sim.Sim
-	route    func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result))
+	rack     *rack
 	timeout  time.Duration
 	attempts int
 
@@ -210,7 +208,7 @@ func (r *chaosRouter) setWorkers(ws []string) {
 	r.workers = out
 }
 
-func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int, done func(backend.Result)) {
+func (r *chaosRouter) invoke(req backend.Request, attempt int, done func(backend.Result)) {
 	if len(r.workers) == 0 {
 		done(backend.Result{Err: errChaosNoRoute})
 		return
@@ -222,20 +220,20 @@ func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int
 	fail := func(err error) {
 		if attempt+1 < r.attempts {
 			r.failovers++
-			tr.Mark(obs.StageTransport, "router", "failover:"+name, r.s.Now())
-			r.invoke(id, payload, tr, attempt+1, done)
+			req.Trace.Mark(obs.StageTransport, "router", "failover:"+name, r.rack.ctrl.Now())
+			r.invoke(req, attempt+1, done)
 			return
 		}
 		done(backend.Result{Err: err})
 	}
-	r.route(name, id, payload, tr, func(res backend.Result) {
+	r.rack.call(name, req, func(res backend.Result) {
 		if finished {
 			// A late response after the attempt timed out: the router
 			// has already failed over.
 			return
 		}
 		finished = true
-		r.s.Cancel(timer)
+		r.rack.ctrl.Cancel(timer)
 		if res.Err != nil {
 			fail(res.Err)
 			return
@@ -243,7 +241,7 @@ func (r *chaosRouter) invoke(id uint32, payload []byte, tr *obs.Req, attempt int
 		done(res)
 	})
 	if !finished {
-		timer = r.s.Schedule(r.timeout, func() {
+		timer = r.rack.ctrl.Schedule(r.timeout, func() {
 			if finished {
 				return
 			}
@@ -260,136 +258,31 @@ type chaosSample struct {
 	failed  bool
 }
 
-// chaosTopology is how the chaos harness reaches the worker fleet. The
-// control plane — router, manager, detector, load generator, report —
-// always lives on ctrl; the worker NICs either share that clock (Chaos)
-// or run one simulation domain each under the conservative parallel
-// coordinator (ChaosParallel). Everything above this seam is identical
-// between the two modes, which is what makes the differential
-// determinism check meaningful.
-type chaosTopology struct {
-	ctrl *sim.Sim
-	// route performs one full round trip to the named worker — request
-	// wire hop, NIC execution, response wire hop — calling done back on
-	// ctrl's clock. A crashed worker is a black hole: done never fires.
-	route func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result))
-	// nic returns the named worker's device for fault application.
-	nic func(name string) *nicsim.NIC
-	// deviceAt schedules fn at t on the simulation owning the named
-	// worker's device. Only called before run starts.
-	deviceAt func(name string, t sim.Time, fn func())
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func chaosNames(workers int) []string {
-	names := make([]string, workers)
-	for i := range names {
-		names[i] = fmt.Sprintf("m%d", i+2)
-	}
-	return names
-}
-
-func newChaosNIC(cfg Config, s *sim.Sim, web *workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNIC(s, cfg.Testbed, nicsim.DispatchUniform)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	if err := b.Deploy([]*workloads.Workload{web}); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	return b, nil
-}
-
 // Chaos runs the chaos experiment (see the package comment above) with
 // the whole fleet on one clock and returns the phase report.
-func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
-	ch = ch.withDefaults()
-	web := workloads.WebServer()
-	names := chaosNames(ch.Workers)
-
-	// Worker fleet: one simulated NIC per worker, all on one clock.
-	s := cfg.newSim()
-	nics := make(map[string]*backend.LambdaNIC, ch.Workers)
-	for _, name := range names {
-		b, err := newChaosNIC(cfg, s, web)
-		if err != nil {
-			return nil, err
-		}
-		nics[name] = b
-	}
-	topo := &chaosTopology{
-		ctrl: s,
-		route: func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
-			nics[name].InvokeTraced(id, payload, tr, done)
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		deviceAt: func(name string, t sim.Time, fn func()) { s.At(t, fn) },
-		run:      s.RunUntilIdle,
-		executed: func() uint64 { return s.Executed },
-		clock:    s.Now,
-		domains:  1,
-	}
-	return chaosRun(cfg, ch, web, names, topo)
-}
+func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) { return chaos(cfg, ch, false) }
 
 // ChaosParallel runs the same experiment with each worker NIC in its
-// own simulation domain, synchronized to the control-plane domain by
-// the inter-NIC link's minimum one-way latency (the lookahead). Wire
-// hops become cross-domain messages: the request hop is a ctrl→worker
-// Send of WireDelay(len(payload)), the response hop a worker→ctrl Send
-// of the response's wire delay — each exactly one scheduled event, just
-// like the Schedule calls of the shared-clock path, so event counts,
-// clocks, and the report are bit-identical to Chaos while worker
-// domains execute on separate cores. NIC-internal trace spans are
-// skipped in this mode (the span container would cross goroutines);
-// spans never schedule events, so timing is unaffected.
+// own simulation domain (see rack); the report is bit-identical to
+// Chaos. NIC-internal trace spans are dropped in this mode.
 func ChaosParallel(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
-	ch = ch.withDefaults()
-	web := workloads.WebServer()
-	names := chaosNames(ch.Workers)
-
-	// The lookahead is the link's propagation floor: every wire hop is
-	// OneWay(n) >= OneWay(0), so Send's minimum-latency clamp never
-	// engages and cross-domain timing matches the shared clock exactly.
-	p := sim.NewParallel(cfg.Testbed.Link.OneWay(0))
-	ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-	doms := make(map[string]*sim.Domain, ch.Workers)
-	nics := make(map[string]*backend.LambdaNIC, ch.Workers)
-	for _, name := range names {
-		d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		b, err := newChaosNIC(cfg, d.Sim, web)
-		if err != nil {
-			return nil, err
-		}
-		doms[name], nics[name] = d, b
-	}
-	topo := &chaosTopology{
-		ctrl: ctrl.Sim,
-		route: func(name string, id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
-			d, b := doms[name], nics[name]
-			ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-				b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-					d.Send(ctrl.ID(), back, func() { done(res) })
-				})
-			})
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		deviceAt: func(name string, t sim.Time, fn func()) { doms[name].At(t, fn) },
-		run:      p.RunUntilIdle,
-		executed: p.Executed,
-		clock:    p.Clock,
-		domains:  1 + len(names),
-	}
-	return chaosRun(cfg, ch, web, names, topo)
+	return chaos(cfg, ch, true)
 }
 
-// chaosRun is the topology-independent harness: control plane, fault
-// timeline, load, and phase bucketing.
-func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []string, topo *chaosTopology) (*ChaosReport, error) {
-	s := topo.ctrl
+// chaos builds the worker fleet and runs the control plane, fault
+// timeline, load, and phase bucketing over it.
+func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
+	ch = ch.withDefaults()
+	web := workloads.WebServer()
+	rk, err := newRack(cfg, rackSpec{
+		name: "chaos", testbed: cfg.Testbed, workers: ch.Workers,
+		deploy: []*workloads.Workload{web},
+	}, parallel)
+	if err != nil {
+		return nil, err
+	}
+	names := rk.names
+	s := rk.ctrl
 	collector := obs.NewCollector(func() time.Duration { return s.Now() },
 		obs.WithSampleEvery(ch.TraceSampleEvery))
 
@@ -416,8 +309,7 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 	}})
 
 	router := &chaosRouter{
-		s:        s,
-		route:    topo.route,
+		rack:     rk,
 		timeout:  ch.AttemptTimeout,
 		attempts: ch.Attempts,
 	}
@@ -526,7 +418,7 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 	timeline := &faults.Timeline{Faults: []faults.SimFault{
 		{At: sim.Time(ch.KillAt), Kind: faults.FaultNICCrash, Target: victim},
 	}}
-	// Each fault costs exactly two scheduled events in every topology:
+	// Each fault costs exactly two scheduled events in either rack mode:
 	// the device-side application on the simulation owning the target
 	// NIC, and a control-side mirror that suppresses the victim's
 	// heartbeats and stamps the report. On a shared clock both land on
@@ -536,14 +428,14 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 	// silence (already control-side) carries the failure signal.
 	for _, f := range timeline.Sorted() {
 		f := f
-		topo.deviceAt(f.Target, f.At, func() {
+		rk.deviceAt(f.Target, f.At, func() {
 			switch f.Kind {
 			case faults.FaultNICCrash:
-				topo.nic(f.Target).Crash()
+				rk.device(f.Target).Crash()
 			case faults.FaultNICRecover:
-				topo.nic(f.Target).Recover()
+				rk.device(f.Target).Recover()
 			case faults.FaultDegrade:
-				topo.nic(f.Target).SetSlowdown(f.Factor)
+				rk.device(f.Target).SetSlowdown(f.Factor)
 			}
 		})
 		s.At(f.At, func() {
@@ -570,7 +462,7 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 		s.ScheduleAt(at, func() {
 			start := s.Now()
 			tr := collector.Begin(web.ID, web.Name)
-			router.invoke(web.ID, payload, tr, 0, func(res backend.Result) {
+			router.invoke(backend.Request{ID: web.ID, Payload: payload, Trace: tr}, 0, func(res backend.Result) {
 				tr.Finish(s.Now(), res.Err)
 				sloMeter.Observe(s.Now()-start, res.Err != nil)
 				samples = append(samples, chaosSample{
@@ -583,12 +475,12 @@ func chaosRun(cfg Config, ch ChaosConfig, web *workloads.Workload, names []strin
 		at += sim.Time(rng.ExpFloat64() / ch.RatePerSec * float64(time.Second))
 	}
 
-	if err := topo.run(); err != nil {
+	if err := rk.run(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	rep.Executed = topo.executed()
-	rep.FinalClock = topo.clock()
-	rep.Domains = topo.domains
+	rep.Executed = rk.executed()
+	rep.FinalClock = rk.clock()
+	rep.Domains = rk.domains()
 	if rep.KillAt == 0 {
 		return nil, errors.New("chaos: kill never fired (KillAt past Duration?)")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,9 +93,12 @@ func TestChaosRecovery(t *testing.T) {
 		t.Error("no request traces collected")
 	}
 
-	if out := RenderChaos(rep); !strings.Contains(out, "availability") {
+	out := RenderChaos(rep)
+	if !strings.Contains(out, "availability") {
 		t.Errorf("render missing header:\n%s", out)
 	}
+	checkGolden(t, "chaos", out+fmt.Sprintf("fingerprint: %d domains %d@%v\n",
+		rep.Domains, rep.Executed, rep.FinalClock))
 }
 
 // TestChaosDeterministic asserts the whole experiment — fault

@@ -69,6 +69,7 @@ func TestFigure6Shape(t *testing.T) {
 	if bareWeb.P99 <= bareWeb.P50 {
 		t.Errorf("bare-metal tail missing: p99=%v p50=%v", bareWeb.P99, bareWeb.P50)
 	}
+	checkGolden(t, "figure6", RenderFigure6(series))
 }
 
 func TestFigure7Shape(t *testing.T) {
@@ -108,6 +109,7 @@ func TestFigure7Shape(t *testing.T) {
 	if by["web-server/lambda-nic/56"].PerSecond < by["web-server/lambda-nic/1"].PerSecond {
 		t.Error("λ-NIC throughput dropped with concurrency")
 	}
+	checkGolden(t, "figure7", RenderFigure7(points))
 }
 
 func threadKey(n int) string {
@@ -152,6 +154,7 @@ func TestFigure8Table2Shape(t *testing.T) {
 	if nic.Summary.Mean > 2e-3 {
 		t.Errorf("λ-NIC contention mean = %v s, want < 2ms", nic.Summary.Mean)
 	}
+	checkGolden(t, "figure8", RenderFigure8Table2(results))
 }
 
 func TestTable3Shape(t *testing.T) {
@@ -189,6 +192,7 @@ func TestTable3Shape(t *testing.T) {
 	if !(cont.Usage.HostCPUPercent > bare.Usage.HostCPUPercent) {
 		t.Error("container CPU not above bare metal")
 	}
+	checkGolden(t, "table3", RenderTable3(rows))
 }
 
 func TestTable4Shape(t *testing.T) {

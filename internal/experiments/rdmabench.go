@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -286,11 +285,7 @@ func runRdmaSuite(cfg Config, rb RdmaBenchConfig, kind sim.KernelKind) (benchio.
 		}
 		results = append(results, row)
 	}
-	return benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Results:    results,
-	}, nil
+	return benchio.NewReport(results), nil
 }
 
 // RdmaBench runs the suite under the ladder and heap kernels, fails if

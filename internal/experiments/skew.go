@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -403,33 +402,6 @@ func (d *migDispatch) tick(loads []dispatch.Load) int {
 
 func (d *migDispatch) pins() int { return len(d.pinned) }
 
-// skewTopology is the seam between the harness and one policy's rack —
-// the tenants-experiment shape, plus the flow key on the route.
-type skewTopology struct {
-	ctrl     *sim.Sim
-	route    func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result))
-	nic      func(name string) *nicsim.NIC
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
-func skewNIC(cfg Config, sc SkewConfig, s *sim.Sim, web *workloads.Workload) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNICWithConfig(s, sc.testbed(cfg), nicsim.Config{
-		Dispatch:        nicsim.DispatchUniform,
-		WarmFlows:       sc.WarmFlows,
-		ColdStartCycles: sc.ColdStartCycles,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("skew: %w", err)
-	}
-	if err := b.Deploy([]*workloads.Workload{web}); err != nil {
-		return nil, fmt.Errorf("skew: %w", err)
-	}
-	return b, nil
-}
-
 func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewDispatcher {
 	switch policy {
 	case SkewPolicyRR:
@@ -442,99 +414,49 @@ func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewD
 }
 
 // Skew runs all three policies with each rack on one clock.
-func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) {
-	sc = sc.withDefaults()
-	sched := skewSchedule(cfg, sc)
-	names := chaosNames(sc.Workers)
-	rep := &SkewReport{Domains: 1}
-	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
-		web := sc.workload()
-		s := cfg.newSim()
-		nics := make(map[string]*backend.LambdaNIC, sc.Workers)
-		for _, name := range names {
-			b, err := skewNIC(cfg, sc, s, web)
-			if err != nil {
-				return nil, err
-			}
-			nics[name] = b
-		}
-		topo := &skewTopology{
-			ctrl: s,
-			route: func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result)) {
-				nics[name].InvokeFlow(id, payload, flow, nil, done)
-			},
-			nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-			run:      s.RunUntilIdle,
-			executed: func() uint64 { return s.Executed },
-			clock:    s.Now,
-			domains:  1,
-		}
-		row, err := skewRun(cfg, sc, web, names, topo, sched, policy)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	rep.Affine = skewVerdict(rep)
-	return rep, nil
-}
+func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) { return skew(cfg, sc, false) }
 
 // SkewParallel runs the same three racks with each worker NIC in its
-// own simulation domain under the conservative parallel coordinator;
-// wire hops cost exactly one scheduled event each, as in the serial
-// path, so the report is bit-identical to Skew.
-func SkewParallel(cfg Config, sc SkewConfig) (*SkewReport, error) {
+// own simulation domain (see rack); the report is bit-identical to
+// Skew.
+func SkewParallel(cfg Config, sc SkewConfig) (*SkewReport, error) { return skew(cfg, sc, true) }
+
+func skew(cfg Config, sc SkewConfig, parallel bool) (*SkewReport, error) {
 	sc = sc.withDefaults()
 	sched := skewSchedule(cfg, sc)
-	names := chaosNames(sc.Workers)
-	tb := sc.testbed(cfg)
-	rep := &SkewReport{Domains: 1 + sc.Workers}
+	rep := &SkewReport{}
 	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
 		web := sc.workload()
-		p := sim.NewParallel(tb.Link.OneWay(0))
-		ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		doms := make(map[string]*sim.Domain, sc.Workers)
-		nics := make(map[string]*backend.LambdaNIC, sc.Workers)
-		for _, name := range names {
-			d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-			b, err := skewNIC(cfg, sc, d.Sim, web)
-			if err != nil {
-				return nil, err
-			}
-			doms[name], nics[name] = d, b
-		}
-		topo := &skewTopology{
-			ctrl: ctrl.Sim,
-			route: func(name string, id uint32, payload []byte, flow uint64, done func(backend.Result)) {
-				d, b := doms[name], nics[name]
-				ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-					b.InvokeFlowDelivered(id, payload, flow, nil, func(res backend.Result, back sim.Time) {
-						d.Send(ctrl.ID(), back, func() { done(res) })
-					})
-				})
+		rk, err := newRack(cfg, rackSpec{
+			name: "skew", testbed: sc.testbed(cfg), workers: sc.Workers,
+			nic: nicsim.Config{
+				Dispatch:        nicsim.DispatchUniform,
+				WarmFlows:       sc.WarmFlows,
+				ColdStartCycles: sc.ColdStartCycles,
 			},
-			nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-			run:      p.RunUntilIdle,
-			executed: p.Executed,
-			clock:    p.Clock,
-			domains:  1 + len(names),
+			deploy: []*workloads.Workload{web},
+		}, parallel)
+		if err != nil {
+			return nil, err
 		}
-		row, err := skewRun(cfg, sc, web, names, topo, sched, policy)
+		row, err := skewRun(cfg, sc, web, rk, sched, policy)
 		if err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, row)
+		rep.Domains = rk.domains()
 	}
 	rep.Affine = skewVerdict(rep)
 	return rep, nil
 }
 
-// skewRun is the topology-independent harness for one policy: issue the
+// skewRun is the harness for one policy's rack: issue the
 // shared schedule through the policy's dispatcher, feed the healthd
 // detector smoothed load on the virtual clock, rebalance on ticks, and
 // summarize.
-func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string, topo *skewTopology, sched []skewArrival, policy string) (SkewPolicyStat, error) {
-	s := topo.ctrl
+func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched []skewArrival, policy string) (SkewPolicyStat, error) {
+	names := rk.names
+	s := rk.ctrl
 	end := sim.Time(sc.Duration)
 	disp := sc.dispatcher(policy, names, uint64(cfg.Seed))
 
@@ -581,7 +503,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 			w := disp.pick(a.flow)
 			inflight[w]++
 			start := s.Now()
-			topo.route(names[w], web.ID, payload, a.flow, func(res backend.Result) {
+			rk.call(names[w], backend.Request{ID: web.ID, Payload: payload, Flow: a.flow}, func(res backend.Result) {
 				inflight[w]--
 				completed[w]++
 				if res.Err != nil {
@@ -592,7 +514,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 			})
 		})
 	}
-	if err := topo.run(); err != nil {
+	if err := rk.run(); err != nil {
 		return SkewPolicyStat{}, fmt.Errorf("skew/%s: %w", policy, err)
 	}
 
@@ -605,8 +527,8 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 		P50:         time.Duration(lat.P50() * float64(time.Second)),
 		P99:         time.Duration(lat.P99() * float64(time.Second)),
 		P999:        time.Duration(lat.P999() * float64(time.Second)),
-		Executed:    topo.executed(),
-		FinalClock:  time.Duration(topo.clock()),
+		Executed:    rk.executed(),
+		FinalClock:  time.Duration(rk.clock()),
 	}
 	var sum, max uint64
 	for _, c := range completed {
@@ -619,7 +541,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, names []string,
 		row.Spread = float64(max) * float64(len(names)) / float64(sum)
 	}
 	for _, name := range names {
-		st := topo.nic(name).Stats()
+		st := rk.device(name).Stats()
 		row.WarmHits += st.WarmHits
 		row.WarmMisses += st.WarmMisses
 	}
@@ -643,10 +565,7 @@ func skewVerdict(rep *SkewReport) bool {
 // (BENCH_skew.json): one row per policy, with virtual-clock
 // percentiles suitable for benchio.GuardLatency.
 func (r *SkewReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := benchio.NewReport(nil)
 	for _, row := range r.Rows {
 		res := benchio.Result{
 			Name:      "skew/" + row.Policy,

@@ -70,6 +70,7 @@ func TestSkewQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	checkGolden(t, "skew", out)
 	bench := rep.Bench()
 	if len(bench.Results) != 3 {
 		t.Fatalf("bench rows = %d, want 3", len(bench.Results))

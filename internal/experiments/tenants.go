@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -276,112 +275,17 @@ func newTenantsPlane(cfg Config, tc TenantsConfig) (*tenantsPlane, error) {
 	}, nil
 }
 
-func (p *tenantsPlane) newNIC(s *sim.Sim, tb cluster.Testbed) (*backend.LambdaNIC, error) {
-	b, err := backend.NewLambdaNICWithConfig(s, tb, nicsim.Config{
-		Dispatch:      nicsim.DispatchTenantWFQ,
-		TenantOf:      p.tenantOf,
-		TenantWeights: p.weights,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("tenants: %w", err)
-	}
-	// Each NIC compiles its own firmware image so no executable state
-	// is shared across parallel domains.
-	if err := b.Deploy([]*workloads.Workload{p.web, p.batch}); err != nil {
-		return nil, fmt.Errorf("tenants: %w", err)
-	}
-	return b, nil
-}
-
-// tenantsTopology is the seam between the harness and the rack — the
-// same shape as the chaos topology: the control plane always lives on
-// ctrl; the NICs either share that clock (Tenants) or run one domain
-// each (TenantsParallel).
-type tenantsTopology struct {
-	ctrl     *sim.Sim
-	route    func(name string, id uint32, payload []byte, done func(backend.Result))
-	nic      func(name string) *nicsim.NIC
-	run      func() error
-	executed func() uint64
-	clock    func() sim.Time
-	domains  int
-}
-
 // Tenants runs the multi-tenant isolation experiment with the whole
 // rack on one clock.
 func Tenants(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
-	tc = tc.withDefaults()
-	plane, err := newTenantsPlane(cfg, tc)
-	if err != nil {
-		return nil, err
-	}
-	tb := tc.testbed(cfg)
-	names := chaosNames(tc.Workers)
-	s := cfg.newSim()
-	nics := make(map[string]*backend.LambdaNIC, tc.Workers)
-	for _, name := range names {
-		b, err := plane.newNIC(s, tb)
-		if err != nil {
-			return nil, err
-		}
-		nics[name] = b
-	}
-	topo := &tenantsTopology{
-		ctrl: s,
-		route: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-			nics[name].InvokeTraced(id, payload, nil, done)
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		run:      s.RunUntilIdle,
-		executed: func() uint64 { return s.Executed },
-		clock:    s.Now,
-		domains:  1,
-	}
-	return tenantsRun(tc, plane, names, topo)
+	return tenants(cfg, tc, false)
 }
 
 // TenantsParallel runs the same experiment with each worker NIC in its
-// own simulation domain under the conservative parallel coordinator.
-// Wire hops become cross-domain messages costing exactly one scheduled
-// event each — the same count as the shared-clock path — so the report
-// is bit-identical to Tenants.
+// own simulation domain (see rack); the report is bit-identical to
+// Tenants.
 func TenantsParallel(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
-	tc = tc.withDefaults()
-	plane, err := newTenantsPlane(cfg, tc)
-	if err != nil {
-		return nil, err
-	}
-	tb := tc.testbed(cfg)
-	names := chaosNames(tc.Workers)
-	p := sim.NewParallel(tb.Link.OneWay(0))
-	ctrl := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-	doms := make(map[string]*sim.Domain, tc.Workers)
-	nics := make(map[string]*backend.LambdaNIC, tc.Workers)
-	for _, name := range names {
-		d := p.NewDomainKernel(cfg.Seed, cfg.Kernel)
-		b, err := plane.newNIC(d.Sim, tb)
-		if err != nil {
-			return nil, err
-		}
-		doms[name], nics[name] = d, b
-	}
-	topo := &tenantsTopology{
-		ctrl: ctrl.Sim,
-		route: func(name string, id uint32, payload []byte, done func(backend.Result)) {
-			d, b := doms[name], nics[name]
-			ctrl.Send(d.ID(), b.WireDelay(len(payload)), func() {
-				b.InvokeDelivered(id, payload, nil, func(res backend.Result, back sim.Time) {
-					d.Send(ctrl.ID(), back, func() { done(res) })
-				})
-			})
-		},
-		nic:      func(name string) *nicsim.NIC { return nics[name].NIC() },
-		run:      p.RunUntilIdle,
-		executed: p.Executed,
-		clock:    p.Clock,
-		domains:  1 + len(names),
-	}
-	return tenantsRun(tc, plane, names, topo)
+	return tenants(cfg, tc, true)
 }
 
 // tenantsSample is one arrival for phase bucketing.
@@ -393,10 +297,28 @@ type tenantsSample struct {
 	failed   bool
 }
 
-// tenantsRun is the topology-independent harness: admission, load,
-// SLO grading, and phase bucketing.
-func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *tenantsTopology) (*TenantsReport, error) {
-	s := topo.ctrl
+// tenants builds the rack and runs admission, load, SLO grading, and
+// phase bucketing over it.
+func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error) {
+	tc = tc.withDefaults()
+	plane, err := newTenantsPlane(cfg, tc)
+	if err != nil {
+		return nil, err
+	}
+	rk, err := newRack(cfg, rackSpec{
+		name: "tenants", testbed: tc.testbed(cfg), workers: tc.Workers,
+		nic: nicsim.Config{
+			Dispatch:      nicsim.DispatchTenantWFQ,
+			TenantOf:      plane.tenantOf,
+			TenantWeights: plane.weights,
+		},
+		deploy: []*workloads.Workload{plane.web, plane.batch},
+	}, parallel)
+	if err != nil {
+		return nil, err
+	}
+	names := rk.names
+	s := rk.ctrl
 	end := sim.Time(tc.Duration)
 
 	// The interactive tenant's SLO, graded on the control domain's
@@ -449,7 +371,7 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 			}
 			name := names[next%len(names)]
 			next++
-			topo.route(name, wl.ID, payload, func(res backend.Result) {
+			rk.call(name, backend.Request{ID: wl.ID, Payload: payload}, func(res backend.Result) {
 				lat := s.Now() - start
 				if tenantID == plane.vipID {
 					sloMeter.Observe(lat, res.Err != nil)
@@ -473,20 +395,20 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 		at += sim.Time(rng.ExpFloat64() / tc.BurstRate * float64(time.Second))
 	}
 
-	if err := topo.run(); err != nil {
+	if err := rk.run(); err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
 
 	rep := &TenantsReport{
 		IsolationP99: tc.IsolationP99,
 		Shed:         plane.adm.TotalShed(),
-		Executed:     topo.executed(),
-		FinalClock:   topo.clock(),
-		Domains:      topo.domains,
+		Executed:     rk.executed(),
+		FinalClock:   rk.clock(),
+		Domains:      rk.domains(),
 	}
 	for _, name := range names {
-		rep.InteractiveCompleted += topo.nic(name).TenantCompleted(plane.vipID)
-		rep.BatchCompleted += topo.nic(name).TenantCompleted(plane.bulkID)
+		rep.InteractiveCompleted += rk.device(name).TenantCompleted(plane.vipID)
+		rep.BatchCompleted += rk.device(name).TenantCompleted(plane.bulkID)
 	}
 	sloReport := slo.Report()
 	rep.SLO = &sloReport
@@ -546,10 +468,7 @@ func tenantsRun(tc TenantsConfig, plane *tenantsPlane, names []string, topo *ten
 // Bench converts the report to the benchmark-artifact schema
 // (BENCH_tenants.json): one row per tenant × phase.
 func (r *TenantsReport) Bench() benchio.Report {
-	rep := benchio.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := benchio.NewReport(nil)
 	for _, p := range r.Phases {
 		row := benchio.Result{
 			Name:      p.Tenant + "/" + p.Phase,

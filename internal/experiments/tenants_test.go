@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,6 +74,8 @@ func TestTenantsIsolationQuick(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	checkGolden(t, "tenants", out+fmt.Sprintf("fingerprint: %d domains %d@%v\n",
+		rep.Domains, rep.Executed, rep.FinalClock))
 
 	bench := rep.Bench()
 	if len(bench.Results) != 6 {

@@ -125,7 +125,7 @@ func TestParallelHorizon(t *testing.T) {
 	a := p.NewDomain(1)
 	b := p.NewDomain(2)
 	fired := 0
-	a.Schedule(time.Millisecond, func() { fired++ })  // exactly at horizon
+	a.Schedule(time.Millisecond, func() { fired++ })   // exactly at horizon
 	b.Schedule(2*time.Millisecond, func() { fired++ }) // beyond
 	if err := p.Run(time.Millisecond); err != nil {
 		t.Fatalf("run: %v", err)

@@ -22,16 +22,14 @@ type Invoker interface {
 	Invoke(id uint32, payload []byte, done func(backend.Result))
 }
 
-// invoke dispatches through the target's traced path when a span
-// container is attached and the target supports it.
-func invoke(target Invoker, id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
-	if tr != nil {
-		if ti, ok := target.(backend.Traced); ok {
-			ti.InvokeTraced(id, payload, tr, done)
-			return
-		}
+// invoke passes the whole request to targets that take one, and its
+// ID and payload to the rest.
+func invoke(target Invoker, req backend.Request, done func(backend.Result)) {
+	if c, ok := target.(backend.Traced); ok {
+		c.Call(req, done)
+		return
 	}
-	target.Invoke(id, payload, done)
+	target.Invoke(req.ID, req.Payload, done)
 }
 
 // Gateway models the gateway + NAT proxy in front of the backends: a
@@ -55,13 +53,14 @@ func NewGateway(s *sim.Sim, inner Invoker, latency, occupancy time.Duration) *Ga
 // serialized slot, experiences the pipeline latency, and then enters
 // the backend; the response pays the pipeline latency on the way out.
 func (g *Gateway) Invoke(id uint32, payload []byte, done func(backend.Result)) {
-	g.InvokeTraced(id, payload, nil, done)
+	g.Call(backend.Request{ID: id, Payload: payload}, done)
 }
 
-// InvokeTraced implements backend.Traced: the occupancy wait plus the
-// ingress pipeline half and the egress half are attributed to the
-// gateway stage; tr is forwarded to the wrapped invoker.
-func (g *Gateway) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func(backend.Result)) {
+// Call implements backend.Traced: the occupancy wait plus the ingress
+// pipeline half and the egress half are attributed to the gateway
+// stage; the request is forwarded whole to the wrapped invoker.
+func (g *Gateway) Call(req backend.Request, done func(backend.Result)) {
+	tr := req.Trace
 	now := g.sim.Now()
 	start := now
 	if g.freeAt > start {
@@ -73,7 +72,7 @@ func (g *Gateway) InvokeTraced(id uint32, payload []byte, tr *obs.Req, done func
 		tr.AddSpan(obs.StageGateway, "gateway", "ingress", now, enter)
 	}
 	g.sim.ScheduleAt(enter, func() {
-		invoke(g.inner, id, payload, tr, func(r backend.Result) {
+		invoke(g.inner, req, func(r backend.Result) {
 			if tr != nil {
 				back := g.sim.Now()
 				tr.AddSpan(obs.StageGateway, "gateway", "egress", back, back+sim.Time(g.latency)/2)
@@ -182,7 +181,7 @@ func (o OpenLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 			if o.Tracer != nil && measured {
 				tr = o.Tracer.Begin(req.Workload, req.Label)
 			}
-			invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
+			invoke(target, backend.Request{ID: req.Workload, Payload: req.Payload, Trace: tr}, func(r backend.Result) {
 				tr.Finish(s.Now(), r.Err)
 				if !measured {
 					return
@@ -269,7 +268,7 @@ func (c ClosedLoop) Start(s *sim.Sim, target Invoker) (*Result, error) {
 		if c.Tracer != nil && measured {
 			tr = c.Tracer.Begin(req.Workload, req.Label)
 		}
-		invoke(target, req.Workload, req.Payload, tr, func(r backend.Result) {
+		invoke(target, backend.Request{ID: req.Workload, Payload: req.Payload, Trace: tr}, func(r backend.Result) {
 			tr.Finish(s.Now(), r.Err)
 			completed++
 			if measured {
