@@ -5,33 +5,35 @@
 // Usage:
 //
 //	lnic-bench [-quick] [-short] [-seed N] [-kernel ladder|heap] [-parallel]
-//	           [-experiment all|table1|fig6|fig7|fig8|table2|table3|table4|fig9|chaos|tenants|skew|boundary|rpcbench|lambdabench|simbench]
+//	           [-experiment all|table1|fig6|fig7|fig8|table2|table3|table4|fig9|optimizer|scaleout|loadcurve|nicclasses|ablations|breakdown|chaos|tenants|skew|boundary|rpcbench|lambdabench|simbench|rdmabench]
 //	           [-trace-out trace.json] [-bench-out BENCH_rpc.json]
 //	           [-bench-guard BENCH_sim_baseline.json] [-slo-out SLO_chaos.json]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // -quick shrinks sample counts and the benchmark image for fast runs;
 // the default configuration reproduces the numbers recorded in
-// EXPERIMENTS.md. -trace-out writes the breakdown experiment's
-// request-lifecycle trace as Chrome trace-event JSON (load it in
-// chrome://tracing or https://ui.perfetto.dev).
+// EXPERIMENTS.md. -short (as does -quick) shrinks each experiment
+// outside "all" — chaos, tenants, skew, boundary and the four
+// benchmark experiments — to its smoke-run configuration. -trace-out
+// writes the breakdown experiment's request-lifecycle trace as Chrome
+// trace-event JSON (load it in chrome://tracing or
+// https://ui.perfetto.dev).
 //
 // -kernel selects the simulation event-queue kernel (default ladder;
 // heap is the reference binary heap — results are bit-identical, only
 // wall-clock speed differs). -parallel runs the experiments that have a
-// multi-core path (scaleout, loadcurve, chaos) with per-NIC simulation
-// domains under the conservative parallel coordinator; results are
-// bit-identical to the serial runs. -cpuprofile and -memprofile write
-// pprof profiles of the run.
+// multi-core path (scaleout, loadcurve, chaos, tenants, skew, boundary)
+// with per-NIC simulation domains under the conservative parallel
+// coordinator; results are bit-identical to the serial runs.
+// -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // The chaos experiment (not part of "all") crash-stops a worker NIC
 // under open-loop load and reports availability, error rate, and tail
 // latency before/during/after the failure-detection loop evicts it.
 // It also writes a windowed SLO error-budget report (availability and
 // p99-latency objectives sampled each heartbeat) to -slo-out (default
-// SLO_chaos.json). -short shrinks it to a smoke run; with -trace-out
-// the request lifecycles plus the fault instants (as global markers)
-// are exported.
+// SLO_chaos.json). With -trace-out the request lifecycles plus the
+// fault instants (as global markers) are exported.
 //
 // The tenants experiment (not part of "all") colocates an interactive
 // tenant with a bursty batch tenant on a shared rack running
@@ -40,9 +42,10 @@
 // stays within bound and the error-budget burn returns to zero after.
 // The run fails if the bound is violated. Per-tenant phase results go
 // to -bench-out (default BENCH_tenants.json) and the interactive SLO
-// timeline to -slo-out (default SLO_tenants.json). -short shrinks it
-// to a smoke run; -parallel runs one simulation domain per NIC with
-// bit-identical results.
+// timeline to -slo-out (default SLO_tenants.json); with -bench-guard
+// the run fails unless every row equals the committed baseline's.
+// -parallel runs one simulation domain per NIC with bit-identical
+// results.
 //
 // The rpcbench experiment (not part of "all") measures the real RPC
 // data plane — not the simulated testbed — over memnet and loopback
@@ -76,10 +79,11 @@
 // migration count per policy, and fails unless pinned+mig beats
 // round-robin on both p99 and warm-hit rate. Per-policy percentiles go
 // to -bench-out (default BENCH_skew.json); with -bench-guard the run
-// fails if any policy's p99 grew more than 25% against the committed
-// baseline (virtual-clock latencies are machine-independent). -short
-// shrinks it to a smoke run; -parallel runs one simulation domain per
-// NIC with bit-identical results.
+// fails unless every policy's row (requests, errors, rate and
+// percentiles) equals the committed baseline's — the simulation is
+// deterministic and machine-independent, so any difference is a
+// behaviour change. -parallel runs one simulation domain per NIC with
+// bit-identical results.
 //
 // The boundary experiment (not part of "all") replays a seeded diurnal
 // load curve with a flash crowd through three placement policies —
@@ -92,9 +96,8 @@
 // policy in every phase while burning strictly less NIC-core·time
 // than the always-on rack. Per-policy and per-phase percentiles go to
 // -bench-out (default BENCH_boundary.json); with -bench-guard the run
-// fails if any row's p99 grew more than 25% against the committed
-// baseline (virtual-clock latencies are machine-independent). -short
-// shrinks it to a smoke run; -parallel runs one simulation domain per
+// fails unless every per-policy and per-phase row equals the committed
+// baseline's, as for skew. -parallel runs one simulation domain per
 // NIC plus one for the host with bit-identical results.
 //
 // The simbench experiment (not part of "all") measures the simulation
@@ -133,7 +136,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("lnic-bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced sample counts and image size")
-	short := fs.Bool("short", false, "shrink the chaos experiment to a smoke run")
+	short := fs.Bool("short", false, "shrink chaos, tenants, skew, boundary and the benchmark experiments to smoke runs")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	experiment := fs.String("experiment", "all",
 		"which experiment to run: all, table1, fig6, fig7, fig8, table2, table3, table4, fig9, optimizer, scaleout, loadcurve, nicclasses, ablations, breakdown, chaos, tenants, skew, boundary, rpcbench, lambdabench, simbench, rdmabench")
@@ -144,11 +147,11 @@ func run(args []string) error {
 	traceOut := fs.String("trace-out", "",
 		"write the breakdown experiment's Chrome trace-event JSON to this file")
 	benchOut := fs.String("bench-out", "",
-		"write the benchmark experiment's JSON report to this file (default BENCH_rpc.json for rpcbench, BENCH_lambda.json for lambdabench, BENCH_sim.json for simbench, BENCH_rdma.json for rdmabench, BENCH_skew.json for skew, BENCH_boundary.json for boundary)")
+		"write the benchmark experiment's JSON report to this file (default BENCH_rpc.json for rpcbench, BENCH_lambda.json for lambdabench, BENCH_sim.json for simbench, BENCH_rdma.json for rdmabench, BENCH_tenants.json for tenants, BENCH_skew.json for skew, BENCH_boundary.json for boundary)")
 	benchGuard := fs.String("bench-guard", "",
-		"fail if the simbench/rdmabench/skew/boundary report regresses against this baseline JSON")
+		"fail if the simbench/rdmabench report regresses against this baseline JSON, or the tenants/skew/boundary report differs from it")
 	sloOut := fs.String("slo-out", "",
-		"write the chaos experiment's SLO error-budget report JSON to this file (default SLO_chaos.json)")
+		"write the chaos or tenants experiment's SLO error-budget report JSON to this file (default SLO_chaos.json or SLO_tenants.json)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	if err := fs.Parse(args); err != nil {
@@ -343,7 +346,10 @@ func run(args []string) error {
 			return err
 		}
 		out(experiments.RenderTenants(rep))
-		if err := benchReport(*benchOut, "BENCH_tenants.json", "", rep.Bench(), "", nil); err != nil {
+		if err := benchReport(*benchOut, "BENCH_tenants.json", *benchGuard, rep.Bench(),
+			"tenants rows identical to those", func(baseline, current benchio.Report) error {
+				return benchio.GuardExact(baseline, current, "vip/", "bulk/")
+			}); err != nil {
 			return err
 		}
 		if err := writeSLO(*sloOut, "SLO_tenants.json", rep.SLO); err != nil {
@@ -368,11 +374,11 @@ func run(args []string) error {
 			return err
 		}
 		out(experiments.RenderSkew(rep))
-		// Latencies are virtual-clock and thus machine-independent;
-		// guard every policy's p99 directly, no normalization needed.
+		// The run is virtual-clock and deterministic, so every policy's
+		// row must equal the baseline's exactly.
 		if err := benchReport(*benchOut, "BENCH_skew.json", *benchGuard, rep.Bench(),
-			"skew p99s within 25%", func(baseline, current benchio.Report) error {
-				return benchio.GuardLatency(baseline, current, 0.25, "skew/")
+			"skew rows identical to those", func(baseline, current benchio.Report) error {
+				return benchio.GuardExact(baseline, current, "skew/")
 			}); err != nil {
 			return err
 		}
@@ -394,11 +400,11 @@ func run(args []string) error {
 			return err
 		}
 		out(experiments.RenderBoundary(rep))
-		// Latencies are virtual-clock and thus machine-independent;
-		// guard every per-policy and per-phase p99 directly.
+		// As for skew: every per-policy and per-phase row must equal
+		// the baseline's exactly.
 		if err := benchReport(*benchOut, "BENCH_boundary.json", *benchGuard, rep.Bench(),
-			"boundary p99s within 25%", func(baseline, current benchio.Report) error {
-				return benchio.GuardLatency(baseline, current, 0.25, "boundary/")
+			"boundary rows identical to those", func(baseline, current benchio.Report) error {
+				return benchio.GuardExact(baseline, current, "boundary/")
 			}); err != nil {
 			return err
 		}
@@ -506,7 +512,7 @@ func writeSLO(outPath, fallback string, slo *telemetry.SLOReport) error {
 // (falling back to the experiment's default filename), then, when
 // -bench-guard names a committed baseline and the experiment supplies
 // a check, fail the run on regression. okMsg describes the passing
-// guard, e.g. "skew p99s within 25%".
+// guard, e.g. "skew rows identical to those".
 func benchReport(outPath, fallback, guardPath string, rep benchio.Report,
 	okMsg string, check func(baseline, current benchio.Report) error) error {
 	if outPath == "" {

@@ -11,11 +11,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lambdanic/internal/metrics"
 )
 
 // Call issues one request against the benchmarked target and reports
@@ -200,35 +201,20 @@ func merge(parts [][]time.Duration) []time.Duration {
 	return all
 }
 
+// fill sets the rate and the latency percentiles, read from a
+// metrics.Sample: the one quantile definition (linear interpolation
+// between order statistics) every report in the repository uses.
 func fill(res *Result, lat []time.Duration, elapsed time.Duration) {
 	if len(lat) == 0 || elapsed <= 0 {
 		return
 	}
 	res.ReqPerSec = float64(len(lat)) / elapsed.Seconds()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	res.P50Ns = int64(Percentile(lat, 0.50))
-	res.P90Ns = int64(Percentile(lat, 0.90))
-	res.P99Ns = int64(Percentile(lat, 0.99))
-	res.P999Ns = int64(Percentile(lat, 0.999))
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted durations
-// using nearest-rank; zero for an empty slice.
-func Percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+	var s metrics.Sample
+	for _, d := range lat {
+		s.AddDuration(d)
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	ns := func(q float64) int64 { return int64(s.Quantile(q) * float64(time.Second)) }
+	res.P50Ns, res.P90Ns, res.P99Ns, res.P999Ns = ns(0.50), ns(0.90), ns(0.99), ns(0.999)
 }
 
 // NewReport wraps results with the run's environment.
@@ -329,52 +315,58 @@ func Guard(baseline, current Report, reference string, tolerance float64, prefix
 	return nil
 }
 
-// GuardLatency compares p99 latency of guarded rows against a
-// committed baseline and returns an error naming every row whose p99
-// grew by more than tolerance (0.20 allows a 20% increase).
+// GuardExact compares a virtual-clock report with a committed baseline
+// and returns an error naming every guarded row that differs in
+// Requests, Errors, Shed, ReqPerSec or any latency percentile, or that
+// is present on only one side. Only rows whose Name begins with one of
+// the prefixes are guarded.
 //
-// Unlike Guard, there is no reference-row normalization: this guard is
-// meant for virtual-clock experiments (nicsim under the discrete-event
-// simulator), where latencies are deterministic simulated durations and
-// directly comparable across machines. Do not use it on wall-clock
-// benchmarks. Rows present on only one side are skipped, and rows with
-// a zero p99 on either side are skipped (degenerate sample).
-func GuardLatency(baseline, current Report, tolerance float64, prefixes ...string) error {
-	p99 := func(r Report) map[string]int64 {
-		m := make(map[string]int64, len(r.Results))
+// Virtual-clock experiments (nicsim under the discrete-event simulator)
+// are deterministic and machine-independent, so any difference is a
+// behaviour change: a deliberate one is recorded by rewriting the
+// baseline. Do not use it on wall-clock benchmarks.
+func GuardExact(baseline, current Report, prefixes ...string) error {
+	type measured struct {
+		Requests, Errors, Shed int
+		ReqPerSec              float64
+		P50, P90, P99, P999    int64
+	}
+	rows := func(r Report) map[string]measured {
+		m := make(map[string]measured, len(r.Results))
 		for _, res := range r.Results {
-			m[res.Name] = res.P99Ns
+			for _, p := range prefixes {
+				if strings.HasPrefix(res.Name, p) {
+					m[res.Name] = measured{res.Requests, res.Errors, res.Shed, res.ReqPerSec,
+						res.P50Ns, res.P90Ns, res.P99Ns, res.P999Ns}
+					break
+				}
+			}
 		}
 		return m
 	}
-	base := p99(baseline)
-	guarded := func(name string) bool {
-		for _, p := range prefixes {
-			if strings.HasPrefix(name, p) {
-				return true
-			}
-		}
-		return false
-	}
+	base, cur := rows(baseline), rows(current)
 	var violations []string
 	for _, res := range current.Results {
-		if !guarded(res.Name) {
+		c, ok := cur[res.Name]
+		if !ok {
 			continue
 		}
-		b, ok := base[res.Name]
-		if !ok || b <= 0 || res.P99Ns <= 0 {
-			continue
+		if b, ok := base[res.Name]; !ok {
+			violations = append(violations, res.Name+": not in the baseline")
+		} else if b != c {
+			violations = append(violations, fmt.Sprintf("%s: %+v, baseline %+v", res.Name, c, b))
 		}
-		if float64(res.P99Ns) > float64(b)*(1+tolerance) {
-			violations = append(violations,
-				fmt.Sprintf("%s: p99 %s, baseline %s (+%0.1f%%)",
-					res.Name, time.Duration(res.P99Ns), time.Duration(b),
-					100*(float64(res.P99Ns)/float64(b)-1)))
+	}
+	for _, res := range baseline.Results {
+		if _, ok := base[res.Name]; ok {
+			if _, ok := cur[res.Name]; !ok {
+				violations = append(violations, res.Name+": missing from the report")
+			}
 		}
 	}
 	if len(violations) > 0 {
-		return fmt.Errorf("benchio: p99 latency regressed beyond %.0f%% tolerance:\n  %s",
-			tolerance*100, strings.Join(violations, "\n  "))
+		return fmt.Errorf("benchio: report differs from the baseline:\n  %s",
+			strings.Join(violations, "\n  "))
 	}
 	return nil
 }

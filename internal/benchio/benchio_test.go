@@ -10,30 +10,6 @@ import (
 	"time"
 )
 
-func TestPercentile(t *testing.T) {
-	sorted := make([]time.Duration, 100)
-	for i := range sorted {
-		sorted[i] = time.Duration(i+1) * time.Millisecond
-	}
-	tests := []struct {
-		p    float64
-		want time.Duration
-	}{
-		{0, time.Millisecond},
-		{0.5, 51 * time.Millisecond},
-		{0.99, 100 * time.Millisecond},
-		{1, 100 * time.Millisecond},
-	}
-	for _, tt := range tests {
-		if got := Percentile(sorted, tt.p); got != tt.want {
-			t.Errorf("Percentile(%.2f) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-}
-
 func TestClosedLoopCountsAndThroughput(t *testing.T) {
 	res := ClosedLoop("t", "memnet", 4, 50*time.Millisecond, func() error {
 		time.Sleep(100 * time.Microsecond)
@@ -193,5 +169,50 @@ func TestGuard(t *testing.T) {
 	if err := Guard(baseline, guardReport(map[string]float64{"sched/ladder": 1}),
 		"sched/heap", 0.20, "sched/"); err == nil {
 		t.Error("missing reference row should error")
+	}
+}
+
+func TestGuardExact(t *testing.T) {
+	row := func(name string, p99 int64) Result {
+		return Result{Name: name, Requests: 100, Errors: 1, Shed: 2, ReqPerSec: 1234.5,
+			P50Ns: 10, P90Ns: 20, P99Ns: p99, P999Ns: 40}
+	}
+	baseline := NewReport([]Result{row("skew/rr", 30), row("skew/pinned", 30), row("other/x", 30)})
+
+	// Identical guarded rows pass; unguarded rows may differ or vanish.
+	same := NewReport([]Result{row("skew/rr", 30), row("skew/pinned", 30), row("other/y", 99)})
+	if err := GuardExact(baseline, same, "skew/"); err != nil {
+		t.Errorf("identical rows failed the guard: %v", err)
+	}
+
+	// Any one measured field differing fails and names the row.
+	for field, mutate := range map[string]func(*Result){
+		"requests":  func(r *Result) { r.Requests++ },
+		"errors":    func(r *Result) { r.Errors-- },
+		"shed":      func(r *Result) { r.Shed++ },
+		"req/s":     func(r *Result) { r.ReqPerSec += 1e-9 },
+		"p50":       func(r *Result) { r.P50Ns-- },
+		"p90":       func(r *Result) { r.P90Ns++ },
+		"p99 lower": func(r *Result) { r.P99Ns-- },
+		"p999":      func(r *Result) { r.P999Ns++ },
+	} {
+		bad := row("skew/pinned", 30)
+		mutate(&bad)
+		err := GuardExact(baseline, NewReport([]Result{row("skew/rr", 30), bad}), "skew/")
+		if err == nil {
+			t.Errorf("%s change passed the guard", field)
+		} else if !strings.Contains(err.Error(), "skew/pinned") || strings.Contains(err.Error(), "skew/rr") {
+			t.Errorf("%s change: violation should name skew/pinned only: %v", field, err)
+		}
+	}
+
+	// A guarded row on only one side fails, either way round.
+	extra := NewReport([]Result{row("skew/rr", 30), row("skew/pinned", 30), row("skew/new", 30)})
+	if err := GuardExact(baseline, extra, "skew/"); err == nil || !strings.Contains(err.Error(), "skew/new") {
+		t.Errorf("row missing from the baseline passed or went unnamed: %v", err)
+	}
+	missing := NewReport([]Result{row("skew/rr", 30)})
+	if err := GuardExact(baseline, missing, "skew/"); err == nil || !strings.Contains(err.Error(), "skew/pinned") {
+		t.Errorf("row missing from the report passed or went unnamed: %v", err)
 	}
 }

@@ -1,9 +1,6 @@
 package benchio
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestZipfDeterministic(t *testing.T) {
 	a, err := NewZipf(100, 1.1, 42)
@@ -87,44 +84,6 @@ func TestZipfRejectsBadParams(t *testing.T) {
 	}
 	if _, err := NewZipf(10, -1, 1); err == nil {
 		t.Error("negative exponent accepted")
-	}
-}
-
-func latReport(p99 map[string]int64) Report {
-	var rs []Result
-	for name, v := range p99 {
-		rs = append(rs, Result{Name: name, P99Ns: v})
-	}
-	return NewReport(rs)
-}
-
-func TestGuardLatency(t *testing.T) {
-	baseline := latReport(map[string]int64{
-		"skew/rr": 1000, "skew/pinned": 500, "other/x": 100,
-	})
-
-	// Within tolerance: passes.
-	ok := latReport(map[string]int64{
-		"skew/rr": 1100, "skew/pinned": 550, "other/x": 900,
-	})
-	if err := GuardLatency(baseline, ok, 0.20, "skew/"); err != nil {
-		t.Errorf("10%% growth failed a 20%% guard: %v", err)
-	}
-
-	// 50% p99 growth on a guarded row: fails and names the row.
-	bad := latReport(map[string]int64{"skew/rr": 1000, "skew/pinned": 750})
-	err := GuardLatency(baseline, bad, 0.20, "skew/")
-	if err == nil {
-		t.Fatal("50% p99 regression passed the guard")
-	}
-	if !strings.Contains(err.Error(), "skew/pinned") {
-		t.Errorf("violation should name skew/pinned: %v", err)
-	}
-
-	// New rows and zero-p99 rows are skipped.
-	sparse := latReport(map[string]int64{"skew/new": 999999, "skew/rr": 0})
-	if err := GuardLatency(baseline, sparse, 0.20, "skew/"); err != nil {
-		t.Errorf("new/zero rows failed the guard: %v", err)
 	}
 }
 

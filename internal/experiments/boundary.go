@@ -12,7 +12,6 @@ import (
 	"lambdanic/internal/backend"
 	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
-	"lambdanic/internal/metrics"
 	"lambdanic/internal/placement"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/workloads"
@@ -58,9 +57,6 @@ const (
 	BoundaryPolicyHost = "static-host"
 	BoundaryPolicyDyn  = "dynamic"
 )
-
-// boundaryPhases are the reporting/verdict segments of the load curve.
-var boundaryPhases = []string{"trough", "peak", "trough2"}
 
 // Boundary workload IDs (21-23; the contention set owns 11-13).
 const (
@@ -156,89 +152,20 @@ func QuickBoundary() BoundaryConfig {
 	return c
 }
 
-func (c BoundaryConfig) withDefaults() BoundaryConfig {
-	d := DefaultBoundary()
-	if c.NICs <= 0 {
-		c.NICs = d.NICs
-	}
-	if c.PoolMin <= 0 || c.PoolMin > c.NICs {
-		c.PoolMin = min(d.PoolMin, c.NICs)
-	}
-	if c.WebTroughRate <= 0 {
-		c.WebTroughRate = d.WebTroughRate
-	}
-	if c.WebPeakRate <= 0 {
-		c.WebPeakRate = d.WebPeakRate
-	}
-	if c.CrowdRate < 0 {
-		c.CrowdRate = d.CrowdRate
-	}
-	if c.MidTroughRate <= 0 {
-		c.MidTroughRate = d.MidTroughRate
-	}
-	if c.MidPeakRate <= 0 {
-		c.MidPeakRate = d.MidPeakRate
-	}
-	if c.HeavyTroughRate <= 0 {
-		c.HeavyTroughRate = d.HeavyTroughRate
-	}
-	if c.HeavyPeakRate <= 0 {
-		c.HeavyPeakRate = d.HeavyPeakRate
-	}
-	if c.TroughDur <= 0 {
-		c.TroughDur = d.TroughDur
-	}
-	if c.PeakDur <= 0 {
-		c.PeakDur = d.PeakDur
-	}
-	if c.Trough2Dur <= 0 {
-		c.Trough2Dur = d.Trough2Dur
-	}
-	if c.CrowdDur <= 0 || c.CrowdDur > c.PeakDur {
-		c.CrowdDur = min(d.CrowdDur, c.PeakDur)
-	}
-	if c.MidSweeps <= 0 {
-		c.MidSweeps = d.MidSweeps
-	}
-	if c.HeavySweeps <= 0 {
-		c.HeavySweeps = d.HeavySweeps
-	}
-	if c.HeavyGILFraction <= 0 || c.HeavyGILFraction > 1 {
-		c.HeavyGILFraction = d.HeavyGILFraction
-	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = d.TickEvery
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = d.ProbeEvery
-	}
-	if c.TargetPerReplica <= 0 {
-		c.TargetPerReplica = d.TargetPerReplica
-	}
-	if c.ScaleCooldown <= 0 {
-		c.ScaleCooldown = d.ScaleCooldown
-	}
-	if c.WarmDelay <= 0 {
-		c.WarmDelay = d.WarmDelay
-	}
-	if c.Margin <= 0 {
-		c.Margin = d.Margin
-	}
-	if c.LatencyAlpha <= 0 {
-		c.LatencyAlpha = d.LatencyAlpha
-	}
-	if c.PlaceCooldown <= 0 {
-		c.PlaceCooldown = d.PlaceCooldown
-	}
-	if c.P99Tolerance <= 1 {
-		c.P99Tolerance = d.P99Tolerance
-	}
-	return c
-}
-
 // totalDur is the schedule horizon.
 func (c BoundaryConfig) totalDur() time.Duration {
 	return c.TroughDur + c.PeakDur + c.Trough2Dur
+}
+
+// phases are the reporting and verdict segments of the load curve.
+func (c BoundaryConfig) phases() []span {
+	t1 := sim.Time(c.TroughDur)
+	t2 := t1 + sim.Time(c.PeakDur)
+	return []span{
+		{"trough", 0, t1},
+		{"peak", t1, t2},
+		{"trough2", t2, sim.Time(c.totalDur())},
+	}
 }
 
 // workloadSet builds fresh per-run copies of the three classes. The
@@ -267,7 +194,6 @@ func (c BoundaryConfig) testbed(cfg Config) cluster.Testbed {
 type boundaryArrival struct {
 	at    sim.Time
 	class int // index into the workload set
-	phase int // index into boundaryPhases, by arrival time
 	idx   int
 }
 
@@ -279,16 +205,6 @@ func boundarySchedule(cfg Config, bc BoundaryConfig) []boundaryArrival {
 	t1 := sim.Time(bc.TroughDur)
 	t2 := t1 + sim.Time(bc.PeakDur)
 	t3 := t2 + sim.Time(bc.Trough2Dur)
-	phaseOf := func(at sim.Time) int {
-		switch {
-		case at < t1:
-			return 0
-		case at < t2:
-			return 1
-		default:
-			return 2
-		}
-	}
 
 	type segment struct {
 		from, to sim.Time
@@ -296,7 +212,7 @@ func boundarySchedule(cfg Config, bc BoundaryConfig) []boundaryArrival {
 	}
 	var arrivals []boundaryArrival
 	draw := func(class int, salt int64, segs []segment) {
-		rng := rand.New(rand.NewSource(int64(cfg.Seed) ^ salt))
+		exp := rand.New(rand.NewSource(int64(cfg.Seed) ^ salt)).ExpFloat64
 		idx := 0
 		for _, seg := range segs {
 			if seg.rate <= 0 {
@@ -304,12 +220,10 @@ func boundarySchedule(cfg Config, bc BoundaryConfig) []boundaryArrival {
 			}
 			// The first gap is drawn too, so segment starts are not
 			// synchronized arrival bursts.
-			at := seg.from + sim.Time(rng.ExpFloat64()/seg.rate*float64(time.Second))
-			for at < seg.to {
-				arrivals = append(arrivals, boundaryArrival{at: at, class: class, phase: phaseOf(at), idx: idx})
+			poisson(seg.from+expGap(seg.rate, exp), seg.to, seg.rate, exp, func(at sim.Time) {
+				arrivals = append(arrivals, boundaryArrival{at: at, class: class, idx: idx})
 				idx++
-				at += sim.Time(rng.ExpFloat64() / seg.rate * float64(time.Second))
-			}
+			})
 		}
 	}
 
@@ -344,25 +258,16 @@ func boundarySchedule(cfg Config, bc BoundaryConfig) []boundaryArrival {
 	return arrivals
 }
 
-// BoundaryPhaseStat is one policy's outcome over one phase of the
-// curve (attributed by arrival time, so overload backlogs charge the
-// phase that caused them).
-type BoundaryPhaseStat struct {
-	Phase          string
-	Requests       int
-	Errors         int
-	P50, P99, P999 time.Duration
-}
-
 // BoundaryPolicyStat is one policy's outcome over the full run.
 type BoundaryPolicyStat struct {
-	Policy   string
-	Requests int
-	Errors   int
-	// Latency percentiles over successful requests (shadow probes
-	// excluded), overall and per phase.
-	P50, P99, P999 time.Duration
-	Phases         []BoundaryPhaseStat
+	// policyRun names the policy and fingerprints its simulation run:
+	// Boundary and BoundaryParallel produce identical values.
+	policyRun
+	// PhaseStat covers every request of the run and Phases each phase
+	// of the curve; latency percentiles are over successful requests,
+	// shadow probes excluded.
+	PhaseStat
+	Phases []PhaseStat
 	// Migrations counts completed boundary moves; Moves is the decision
 	// log; ScaleOps counts NIC pool resizes (dynamic only).
 	Migrations uint64
@@ -372,10 +277,6 @@ type BoundaryPolicyStat struct {
 	// pool size × NPU cores per NIC, integrated over the run. The cost
 	// axis of the Pareto claim.
 	NICCoreSeconds float64
-	// Executed / FinalClock fingerprint the policy's simulation run:
-	// Boundary and BoundaryParallel produce identical values.
-	Executed   uint64
-	FinalClock time.Duration
 }
 
 // BoundaryReport is the experiment's outcome.
@@ -390,14 +291,7 @@ type BoundaryReport struct {
 }
 
 // Row returns the named policy's stats (nil if absent).
-func (r *BoundaryReport) Row(policy string) *BoundaryPolicyStat {
-	for i := range r.Rows {
-		if r.Rows[i].Policy == policy {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
+func (r *BoundaryReport) Row(policy string) *BoundaryPolicyStat { return rowOf(r.Rows, policy) }
 
 // Boundary runs all three policies with each cluster on one clock.
 func Boundary(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
@@ -412,7 +306,6 @@ func BoundaryParallel(cfg Config, bc BoundaryConfig) (*BoundaryReport, error) {
 }
 
 func boundary(cfg Config, bc BoundaryConfig, parallel bool) (*BoundaryReport, error) {
-	bc = bc.withDefaults()
 	sched := boundarySchedule(cfg, bc)
 	rep := &BoundaryReport{}
 	for _, policy := range []string{BoundaryPolicyNIC, BoundaryPolicyHost, BoundaryPolicyDyn} {
@@ -461,17 +354,12 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *r
 		nicInflight, hostInflight int
 		perClassInflight          [][2]int // [class][side]; side 0 host, 1 nic
 		pendingDrain              [][2]func()
-		completions               uint64
 		arrivalsThisTick          uint64
 		scaleOps                  int
-		errs                      int
-		overall                   metrics.Sample
-		phaseLat                  = make([]metrics.Sample, len(boundaryPhases))
-		phaseReq                  = make([]int, len(boundaryPhases))
-		phaseErr                  = make([]int, len(boundaryPhases))
 		coreSeconds               float64
 		lastPoolChange            sim.Time
 	)
+	led := newLedger(len(sched))
 	perClassInflight = make([][2]int, len(wls))
 	pendingDrain = make([][2]func(), len(wls))
 
@@ -615,9 +503,7 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *r
 		// Boundary moves are gated on the pool being at max: scale out
 		// first, re-split the boundary only when the whole rack is not
 		// enough.
-		var tickEv *sim.Event
-		var tick func()
-		tick = func() {
+		rk.every(bc.TickEvery, end, func() {
 			now := time.Duration(s.Now())
 			arr := arrivalsThisTick
 			arrivalsThisTick = 0
@@ -640,11 +526,7 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *r
 			if pool == bc.NICs {
 				coord.Run(now)
 			}
-			if s.Now() < end {
-				tickEv = s.Reschedule(tickEv, sim.Time(bc.TickEvery))
-			}
-		}
-		tickEv = s.Schedule(sim.Time(bc.TickEvery), tick)
+		})
 	}
 
 	// Replay the shared schedule.
@@ -660,16 +542,8 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *r
 				loc = placement.LocNIC
 			}
 			dispatch(a.class, loc, payload, func(err error, rtt time.Duration) {
-				completions++
-				phaseReq[a.phase]++
-				if err != nil {
-					errs++
-					phaseErr[a.phase]++
-					return
-				}
-				overall.AddDuration(rtt)
-				phaseLat[a.phase].AddDuration(rtt)
-				if eng != nil {
+				led.done(a.class, a.at, rtt, err)
+				if err == nil && eng != nil {
 					eng.ObserveLatency(wls[a.class].Name, loc, rtt)
 				}
 			})
@@ -685,30 +559,15 @@ func boundaryRun(cfg Config, bc BoundaryConfig, wls []*workloads.Workload, rk *r
 	}
 
 	row := BoundaryPolicyStat{
-		Policy:         policy,
-		Requests:       len(sched),
-		Errors:         errs,
-		P50:            time.Duration(overall.P50() * float64(time.Second)),
-		P99:            time.Duration(overall.P99() * float64(time.Second)),
-		P999:           time.Duration(overall.P999() * float64(time.Second)),
+		policyRun:      policyRun{Policy: policy, Executed: rk.executed(), FinalClock: rk.clock()},
+		PhaseStat:      led.phase(allClasses, wholeRun),
+		Phases:         led.phases(allClasses, bc.phases()),
 		ScaleOps:       scaleOps,
 		NICCoreSeconds: coreSeconds,
-		Executed:       rk.executed(),
-		FinalClock:     time.Duration(rk.clock()),
 	}
 	if eng != nil {
 		row.Migrations = eng.Migrations()
 		row.Moves = eng.History()
-	}
-	for i, name := range boundaryPhases {
-		row.Phases = append(row.Phases, BoundaryPhaseStat{
-			Phase:    name,
-			Requests: phaseReq[i],
-			Errors:   phaseErr[i],
-			P50:      time.Duration(phaseLat[i].P50() * float64(time.Second)),
-			P99:      time.Duration(phaseLat[i].P99() * float64(time.Second)),
-			P999:     time.Duration(phaseLat[i].P999() * float64(time.Second)),
-		})
 	}
 	return row, nil
 }
@@ -759,35 +618,15 @@ func boundaryVerdict(bc BoundaryConfig, rep *BoundaryReport) bool {
 
 // Bench converts the report to the benchmark-artifact schema
 // (BENCH_boundary.json): one row per policy plus per-phase rows, with
-// virtual-clock percentiles suitable for benchio.GuardLatency.
+// virtual-clock results that benchio.GuardExact compares to a
+// baseline exactly. Phase rows carry no request rate.
 func (r *BoundaryReport) Bench() benchio.Report {
 	rep := benchio.NewReport(nil)
 	for _, row := range r.Rows {
-		res := benchio.Result{
-			Name:      "boundary/" + row.Policy,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  row.Requests,
-			Errors:    row.Errors,
-			P50Ns:     row.P50.Nanoseconds(),
-			P99Ns:     row.P99.Nanoseconds(),
-			P999Ns:    row.P999.Nanoseconds(),
-		}
-		if d := row.FinalClock.Seconds(); d > 0 {
-			res.ReqPerSec = float64(row.Requests) / d
-		}
-		rep.Results = append(rep.Results, res)
+		name := "boundary/" + row.Policy
+		rep.Results = append(rep.Results, benchRow(name, row.PhaseStat, row.FinalClock))
 		for _, ph := range row.Phases {
-			rep.Results = append(rep.Results, benchio.Result{
-				Name:      "boundary/" + row.Policy + "/" + ph.Phase,
-				Transport: "nicsim",
-				Mode:      "open",
-				Requests:  ph.Requests,
-				Errors:    ph.Errors,
-				P50Ns:     ph.P50.Nanoseconds(),
-				P99Ns:     ph.P99.Nanoseconds(),
-				P999Ns:    ph.P999.Nanoseconds(),
-			})
+			rep.Results = append(rep.Results, benchRow(name+"/"+ph.Phase, ph, 0))
 		}
 	}
 	return rep
@@ -816,12 +655,6 @@ func RenderBoundary(rep *BoundaryReport) string {
 				m.At, m.Workload, m.From, m.To, m.Reason)
 		}
 	}
-	if len(rep.Rows) > 0 {
-		fmt.Fprintf(&b, "  fingerprint: %d domains", rep.Domains)
-		for _, row := range rep.Rows {
-			fmt.Fprintf(&b, " %s=%d@%v", row.Policy, row.Executed, row.FinalClock)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
+	writeFingerprint(&b, rep.Domains, rep.Rows)
 	return b.String()
 }

@@ -89,7 +89,7 @@ func TestBoundaryQuick(t *testing.T) {
 	}
 	checkGolden(t, "boundary", out)
 	bench := rep.Bench()
-	if want := 3 * (1 + len(boundaryPhases)); len(bench.Results) != want {
+	if want := 3 * (1 + len(bc.phases())); len(bench.Results) != want {
 		t.Fatalf("bench rows = %d, want %d", len(bench.Results), want)
 	}
 	for _, r := range bench.Results {
@@ -104,7 +104,6 @@ func TestBoundaryQuick(t *testing.T) {
 
 func TestBoundaryScheduleDeterministic(t *testing.T) {
 	cfg, bc := boundaryQuickConfig(sim.KernelLadder)
-	bc = bc.withDefaults()
 	a := boundarySchedule(cfg, bc)
 	b := boundarySchedule(cfg, bc)
 	if !reflect.DeepEqual(a, b) {
@@ -123,7 +122,7 @@ func TestBoundaryScheduleDeterministic(t *testing.T) {
 	// the crowd window carries visibly more web traffic than the rest
 	// of the peak.
 	classes := map[int]int{}
-	phases := map[int]int{}
+	phases := map[string]int{}
 	horizon := sim.Time(bc.totalDur())
 	crowdWeb, crowdSpan := 0, float64(bc.CrowdDur)
 	lateWeb, lateSpan := 0, float64(bc.PeakDur-bc.CrowdDur)
@@ -138,7 +137,11 @@ func TestBoundaryScheduleDeterministic(t *testing.T) {
 			t.Fatalf("arrival beyond horizon: %v", ar.at)
 		}
 		classes[ar.class]++
-		phases[ar.phase]++
+		for _, sp := range bc.phases() {
+			if ar.at >= sp.from && ar.at < sp.to {
+				phases[sp.name]++
+			}
+		}
 		if ar.class == 0 && ar.at >= t1 && ar.at < crowdEnd {
 			crowdWeb++
 		}
@@ -151,9 +154,9 @@ func TestBoundaryScheduleDeterministic(t *testing.T) {
 			t.Errorf("class %d has no arrivals", c)
 		}
 	}
-	for p := range boundaryPhases {
-		if phases[p] == 0 {
-			t.Errorf("phase %s has no arrivals", boundaryPhases[p])
+	for _, sp := range bc.phases() {
+		if phases[sp.name] == 0 {
+			t.Errorf("phase %s has no arrivals", sp.name)
 		}
 	}
 	if float64(crowdWeb)/crowdSpan <= float64(lateWeb)/lateSpan {
@@ -171,8 +174,8 @@ func TestBoundarySerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parallel.Domains != bc.withDefaults().NICs+2 {
-		t.Errorf("parallel domains = %d, want %d", parallel.Domains, bc.withDefaults().NICs+2)
+	if parallel.Domains != bc.NICs+2 {
+		t.Errorf("parallel domains = %d, want %d", parallel.Domains, bc.NICs+2)
 	}
 	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
 		t.Errorf("serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v",

@@ -10,7 +10,6 @@ import (
 	"lambdanic/internal/core"
 	"lambdanic/internal/faults"
 	"lambdanic/internal/healthd"
-	"lambdanic/internal/metrics"
 	"lambdanic/internal/obs"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
@@ -38,7 +37,8 @@ type ChaosConfig struct {
 	RatePerSec float64
 	// Duration is the virtual run length (default 900 ms).
 	Duration time.Duration
-	// KillAt is when the victim NIC crash-stops (default Duration/3).
+	// KillAt is when the victim NIC crash-stops (default 300 ms, a
+	// third of the run).
 	KillAt time.Duration
 	// HeartbeatInterval is the worker beat and detector check period
 	// (default 10 ms).
@@ -61,6 +61,7 @@ func DefaultChaos() ChaosConfig {
 		Workers:           4,
 		RatePerSec:        20_000,
 		Duration:          900 * time.Millisecond,
+		KillAt:            300 * time.Millisecond,
 		HeartbeatInterval: 10 * time.Millisecond,
 		SuspectAfter:      healthd.DefaultSuspectAfter,
 		EvictAfter:        healthd.DefaultEvictAfter,
@@ -75,60 +76,17 @@ func QuickChaos() ChaosConfig {
 	cfg := DefaultChaos()
 	cfg.RatePerSec = 8_000
 	cfg.Duration = 240 * time.Millisecond
+	cfg.KillAt = 80 * time.Millisecond
 	cfg.HeartbeatInterval = 5 * time.Millisecond
 	cfg.TraceSampleEvery = 1
 	return cfg
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	d := DefaultChaos()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.RatePerSec <= 0 {
-		c.RatePerSec = d.RatePerSec
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.KillAt <= 0 {
-		c.KillAt = c.Duration / 3
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = d.HeartbeatInterval
-	}
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = d.AttemptTimeout
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = d.Attempts
-	}
-	if c.TraceSampleEvery <= 0 {
-		c.TraceSampleEvery = d.TraceSampleEvery
-	}
-	return c
-}
-
-// ChaosPhase summarizes the requests issued during one phase of the
-// run.
-type ChaosPhase struct {
-	Name     string
-	Start    time.Duration
-	End      time.Duration
-	Requests int
-	Errors   int
-	// Availability is the fraction of issued requests answered
-	// successfully (failovers count as success — the client got a
-	// response).
-	Availability float64
-	P50, P99     time.Duration
 }
 
 // ChaosReport is the chaos experiment's outcome.
 type ChaosReport struct {
 	// Phases are before (healthy fleet), during (NIC dead, not yet
 	// evicted), and after (survivors only), bucketed by request start.
-	Phases []ChaosPhase
+	Phases []PhaseStat
 	// Killed names the crashed worker.
 	Killed string
 	// KillAt and EvictedAt are the crash and eviction instants.
@@ -167,14 +125,6 @@ type ChaosReport struct {
 	// the eviction.
 	SLO *telemetry.SLOReport
 }
-
-// Chaos SLO objectives: the provider promises three nines of
-// availability and a p99 no worse than one attempt timeout (a request
-// that fails over has necessarily waited at least that long).
-const (
-	chaosAvailabilityTarget = 0.999
-	chaosLatencyQuantile    = 0.99
-)
 
 // chaosRouter spreads requests round-robin over the placed workers with
 // a per-attempt timeout and failover — the gateway's weakly-consistent
@@ -251,13 +201,6 @@ func (r *chaosRouter) invoke(req backend.Request, attempt int, done func(backend
 	}
 }
 
-// chaosSample is one completed request for phase bucketing.
-type chaosSample struct {
-	start   sim.Time
-	latency time.Duration
-	failed  bool
-}
-
 // Chaos runs the chaos experiment (see the package comment above) with
 // the whole fleet on one clock and returns the phase report.
 func Chaos(cfg Config, ch ChaosConfig) (*ChaosReport, error) { return chaos(cfg, ch, false) }
@@ -272,7 +215,6 @@ func ChaosParallel(cfg Config, ch ChaosConfig) (*ChaosReport, error) {
 // chaos builds the worker fleet and runs the control plane, fault
 // timeline, load, and phase bucketing over it.
 func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
-	ch = ch.withDefaults()
 	web := workloads.WebServer()
 	rk, err := newRack(cfg, rackSpec{
 		name: "chaos", testbed: cfg.Testbed, workers: ch.Workers,
@@ -326,49 +268,32 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 	end := sim.Time(ch.Duration)
 
 	// The telemetry plane rides the run on the control domain's virtual
-	// clock: a rolling window of a few heartbeat intervals, graded
-	// against the provider's objectives at every detector check. The
-	// sampling piggybacks on the existing check event, so the event
-	// count — and with it the Chaos/ChaosParallel differential — is
-	// untouched.
-	slo, err := telemetry.NewSLOTracker(
-		telemetry.NewWindowed(telemetry.WindowConfig{
-			Slots:        4,
-			SlotDuration: ch.HeartbeatInterval,
-		}),
-		telemetry.Objective{
-			Name: "availability", Kind: telemetry.ObjectiveAvailability,
-			Target: chaosAvailabilityTarget,
-		},
-		telemetry.Objective{
-			Name: "p99-latency", Kind: telemetry.ObjectiveLatency,
-			Target: chaosLatencyQuantile, Threshold: ch.AttemptTimeout,
-		},
-	)
+	// clock: a rolling window of a few heartbeat intervals, graded at
+	// every detector check against three nines of availability and a
+	// p99 no worse than one attempt timeout (a request that fails over
+	// has necessarily waited at least that long). The sampling
+	// piggybacks on the existing check event, so the event count — and
+	// with it the Chaos/ChaosParallel differential — is untouched.
+	slo, err := newRackSLO("availability", "p99-latency", ch.HeartbeatInterval, ch.AttemptTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	sloMeter := slo.Windowed()
-	sloMeter.Stats(0)
 
 	// Heartbeats: each worker publishes into the control store every
 	// interval — the virtual-time twin of healthd.Heartbeater. A killed
-	// worker falls silent; that silence IS the failure signal.
+	// worker falls silent; that silence IS the failure signal, and so is
+	// a beat the store failed to take.
 	killed := make(map[string]bool, ch.Workers)
 	for _, name := range names {
-		name := name
-		var beat func(seq uint64)
-		beat = func(seq uint64) {
+		var seq uint64
+		beat := func() {
+			seq++
 			if !killed[name] {
-				if err := mgr.PutHealth(healthd.Heartbeat{Worker: name, Seq: seq}); err != nil {
-					return
-				}
-			}
-			if s.Now() < end {
-				s.Schedule(ch.HeartbeatInterval, func() { beat(seq + 1) })
+				_ = mgr.PutHealth(healthd.Heartbeat{Worker: name, Seq: seq})
 			}
 		}
-		beat(1)
+		beat()
+		rk.every(ch.HeartbeatInterval, end, beat)
 	}
 
 	// Detection: the manager-side check cycle, scheduled every interval
@@ -380,9 +305,7 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 		SuspectAfter: ch.SuspectAfter,
 		EvictAfter:   ch.EvictAfter,
 	})
-	var check func()
-	var checkEv *sim.Event
-	check = func() {
+	rk.every(ch.HeartbeatInterval, end, func() {
 		now := s.Now()
 		slo.Sample(now)
 		if hbs, err := mgr.HealthSnapshot(); err == nil {
@@ -402,13 +325,7 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 				collector.MarkEvent("faults", "evict:"+tr.Worker, now)
 			}
 		}
-		if now < end {
-			// Re-arm the same event instead of allocating a fresh one
-			// each cycle (sim.Reschedule's fired-event fast path).
-			checkEv = s.Reschedule(checkEv, ch.HeartbeatInterval)
-		}
-	}
-	checkEv = s.Schedule(ch.HeartbeatInterval, check)
+	})
 
 	// The scripted fault: the timing-layer timeline crash-stops the
 	// victim NIC mid-run. The crash is a black hole — in-flight and
@@ -454,26 +371,21 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 	// drawn up front from the simulation's seeded source, so the
 	// schedule — and with it every verdict downstream — is a pure
 	// function of the seed.
-	var samples []chaosSample
-	rng := s.Rand()
-	at := sim.Time(0)
-	for i := 0; at < end; i++ {
-		payload := web.MakeRequest(i)
+	led := newLedger(0)
+	arrivals := 0
+	poisson(0, end, ch.RatePerSec, s.Rand().ExpFloat64, func(at sim.Time) {
+		payload := web.MakeRequest(arrivals)
+		arrivals++
 		s.ScheduleAt(at, func() {
 			start := s.Now()
 			tr := collector.Begin(web.ID, web.Name)
 			router.invoke(backend.Request{ID: web.ID, Payload: payload, Trace: tr}, 0, func(res backend.Result) {
 				tr.Finish(s.Now(), res.Err)
-				sloMeter.Observe(s.Now()-start, res.Err != nil)
-				samples = append(samples, chaosSample{
-					start:   start,
-					latency: s.Now() - start,
-					failed:  res.Err != nil,
-				})
+				slo.Windowed().Observe(s.Now()-start, res.Err != nil)
+				led.done(0, start, s.Now()-start, res.Err)
 			})
 		})
-		at += sim.Time(rng.ExpFloat64() / ch.RatePerSec * float64(time.Second))
-	}
+	})
 
 	if err := rk.run(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
@@ -498,36 +410,12 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 	sloReport := slo.Report()
 	rep.SLO = &sloReport
 
-	// Phase bucketing by request start time.
-	bounds := []struct {
-		name       string
-		start, end sim.Time
-	}{
+	// Phases around the kill and the eviction, by request start time.
+	rep.Phases = led.phases(allClasses, []span{
 		{"before", 0, rep.KillAt},
 		{"during", rep.KillAt, rep.EvictedAt},
 		{"after", rep.EvictedAt, end},
-	}
-	for _, b := range bounds {
-		var lat metrics.Sample
-		phase := ChaosPhase{Name: b.name, Start: b.start, End: b.end}
-		for _, sm := range samples {
-			if sm.start < b.start || sm.start >= b.end {
-				continue
-			}
-			phase.Requests++
-			if sm.failed {
-				phase.Errors++
-			} else {
-				lat.AddDuration(sm.latency)
-			}
-		}
-		if phase.Requests > 0 {
-			phase.Availability = float64(phase.Requests-phase.Errors) / float64(phase.Requests)
-		}
-		phase.P50 = time.Duration(lat.P50() * float64(time.Second))
-		phase.P99 = time.Duration(lat.P99() * float64(time.Second))
-		rep.Phases = append(rep.Phases, phase)
-	}
+	})
 	return rep, nil
 }
 
@@ -541,7 +429,7 @@ func RenderChaos(rep *ChaosReport) string {
 		"phase", "requests", "errors", "availability", "p50", "p99")
 	for _, p := range rep.Phases {
 		fmt.Fprintf(&b, "  %-7s %9d %7d %12.2f%% %11v %11v\n",
-			p.Name, p.Requests, p.Errors, 100*p.Availability, p.P50, p.P99)
+			p.Phase, p.Requests, p.Errors, 100*p.Availability, p.P50, p.P99)
 	}
 	for _, tr := range rep.Transitions {
 		fmt.Fprintf(&b, "  transition: %s %s -> %s at %v\n", tr.Worker, tr.From, tr.To, tr.At)

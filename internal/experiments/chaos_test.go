@@ -25,7 +25,7 @@ func TestChaosRecovery(t *testing.T) {
 	before, during, after := rep.Phases[0], rep.Phases[1], rep.Phases[2]
 	for _, p := range rep.Phases {
 		if p.Requests == 0 {
-			t.Fatalf("phase %s saw no requests", p.Name)
+			t.Fatalf("phase %s saw no requests", p.Phase)
 		}
 	}
 
@@ -126,7 +126,7 @@ func TestChaosDeterministic(t *testing.T) {
 	for i := range a.Phases {
 		pa, pb := a.Phases[i], b.Phases[i]
 		if pa != pb {
-			t.Errorf("phase %s differs:\n%+v\n%+v", pa.Name, pa, pb)
+			t.Errorf("phase %s differs:\n%+v\n%+v", pa.Phase, pa, pb)
 		}
 	}
 }

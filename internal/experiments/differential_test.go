@@ -37,7 +37,7 @@ func TestFigure6KernelDifferential(t *testing.T) {
 // container would cross goroutines), so spans are the one field allowed
 // to differ across topologies.
 type chaosFingerprint struct {
-	Phases            []ChaosPhase
+	Phases            []PhaseStat
 	Killed            string
 	KillAt, EvictedAt interface{}
 	Recovery          float64

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"lambdanic/internal/backend"
 	"lambdanic/internal/cluster"
@@ -192,4 +193,17 @@ func (r *rack) domains() int {
 		return 1
 	}
 	return len(r.par.Domains())
+}
+
+// every runs fn on the control clock at period, 2·period, … up to and
+// including the first tick at or past end: one event per tick, the
+// same event re-armed each time.
+func (r *rack) every(period time.Duration, end sim.Time, fn func()) {
+	var ev *sim.Event
+	ev = r.ctrl.Schedule(period, func() {
+		fn()
+		if r.ctrl.Now() < end {
+			ev = r.ctrl.Reschedule(ev, period)
+		}
+	})
 }

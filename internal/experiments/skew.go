@@ -11,7 +11,6 @@ import (
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/dispatch"
 	"lambdanic/internal/healthd"
-	"lambdanic/internal/metrics"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/workloads"
@@ -142,62 +141,6 @@ func QuickSkew() SkewConfig {
 	}
 }
 
-func (c SkewConfig) withDefaults() SkewConfig {
-	d := DefaultSkew()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.Flows <= 0 {
-		c.Flows = d.Flows
-	}
-	if c.ZipfS <= 0 {
-		c.ZipfS = d.ZipfS
-	}
-	if c.OneShotFrac < 0 || c.OneShotFrac >= 1 {
-		c.OneShotFrac = d.OneShotFrac
-	}
-	if c.Rate <= 0 {
-		c.Rate = d.Rate
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.CrowdStart <= 0 {
-		c.CrowdStart = c.Duration * 1 / 3
-	}
-	if c.CrowdEnd <= 0 {
-		c.CrowdEnd = c.Duration * 2 / 3
-	}
-	if c.CrowdRate <= 0 {
-		c.CrowdRate = d.CrowdRate
-	}
-	if c.CrowdFlows <= 0 {
-		c.CrowdFlows = d.CrowdFlows
-	}
-	if c.ServiceSweeps <= 0 {
-		c.ServiceSweeps = d.ServiceSweeps
-	}
-	if c.WarmFlows <= 0 {
-		c.WarmFlows = d.WarmFlows
-	}
-	if c.ColdStartCycles == 0 {
-		c.ColdStartCycles = d.ColdStartCycles
-	}
-	if c.RebalanceEvery <= 0 {
-		c.RebalanceEvery = d.RebalanceEvery
-	}
-	if c.TopK <= 0 {
-		c.TopK = d.TopK
-	}
-	if c.ImbalanceRatio <= 0 {
-		c.ImbalanceRatio = d.ImbalanceRatio
-	}
-	if c.LoadAlpha <= 0 {
-		c.LoadAlpha = healthd.DefaultLoadAlpha
-	}
-	return c
-}
-
 // workload is the experiment's service lambda: an EMEM sweeper sized
 // by ServiceSweeps, so per-request cost — and therefore hotspot
 // queueing — is a config knob rather than a fixed constant.
@@ -217,25 +160,22 @@ func (c SkewConfig) testbed(cfg Config) cluster.Testbed {
 
 // SkewPolicyStat is one dispatch policy's outcome over the full run.
 type SkewPolicyStat struct {
-	Policy   string
-	Requests int
-	Errors   int
+	// policyRun names the policy and fingerprints its simulation run:
+	// Skew and SkewParallel produce identical values.
+	policyRun
+	// PhaseStat covers every request of the run; its latency
+	// percentiles are over successful requests.
+	PhaseStat
 	// Migrations counts elephant-flow moves (pinned+mig only);
 	// PinnedFlows is the standing pin count at run end.
 	Migrations  int
 	PinnedFlows int
-	// Latency percentiles over successful requests.
-	P50, P99, P999 time.Duration
 	// Spread is max/mean of per-worker completion counts: 1.0 is a
 	// perfectly even rack; higher means hot spots.
 	Spread float64
 	// Warm-state outcome summed across the rack's NICs.
 	WarmHits, WarmMisses uint64
 	WarmRate             float64
-	// Executed / FinalClock fingerprint the policy's simulation run:
-	// Skew and SkewParallel produce identical values.
-	Executed   uint64
-	FinalClock time.Duration
 }
 
 // SkewReport is the experiment's outcome.
@@ -249,14 +189,7 @@ type SkewReport struct {
 }
 
 // Row returns the named policy's stats (nil if absent).
-func (r *SkewReport) Row(policy string) *SkewPolicyStat {
-	for i := range r.Rows {
-		if r.Rows[i].Policy == policy {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
+func (r *SkewReport) Row(policy string) *SkewPolicyStat { return rowOf(r.Rows, policy) }
 
 // skewArrival is one scheduled request; the schedule is drawn up front
 // from seeded generators so every policy, topology, and kernel consumes
@@ -271,10 +204,15 @@ type skewArrival struct {
 // randomness comes from benchio's seeded Zipf generator — nothing
 // depends on the simulator's RNG, so the schedule is one fixed function
 // of the config.
-func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
+func skewSchedule(cfg Config, sc SkewConfig) ([]skewArrival, error) {
 	seed := uint64(cfg.Seed)
 	flowKey := func(rank int) uint64 {
 		return dispatch.FlowKey(fmt.Sprintf("c%04d", rank), workloads.BatchSweepID)
+	}
+
+	// exp draws a unit exponential from a Zipf stream's uniforms.
+	exp := func(z *benchio.Zipf) func() float64 {
+		return func() float64 { return -math.Log(1 - uniform(z)) }
 	}
 
 	var arrivals []skewArrival
@@ -282,35 +220,31 @@ func skewSchedule(cfg Config, sc SkewConfig) []skewArrival {
 	// its flow rank from the Zipf; a OneShotFrac slice gets fresh keys.
 	pop, err := benchio.NewZipf(sc.Flows, sc.ZipfS, seed)
 	if err != nil {
-		panic(err) // n ≥ 1 and s > 0 by withDefaults
+		return nil, fmt.Errorf("skew: %w", err)
 	}
-	end := sim.Time(sc.Duration)
-	at := sim.Time(0)
 	oneShots := 0
-	for i := 0; at < end; i++ {
+	poisson(0, sim.Time(sc.Duration), sc.Rate, exp(pop), func(at sim.Time) {
 		flow := flowKey(pop.Next())
-		if float64(pop.Uint64()>>11)/(1<<53) < sc.OneShotFrac {
+		if uniform(pop) < sc.OneShotFrac {
 			oneShots++
 			flow = dispatch.FlowKey(fmt.Sprintf("one%06d", oneShots), workloads.BatchSweepID)
 		}
-		arrivals = append(arrivals, skewArrival{at: at, flow: flow, idx: i})
-		u := float64(pop.Uint64()>>11) / (1 << 53)
-		at += sim.Time(-math.Log(1-u) / sc.Rate * float64(time.Second))
-	}
+		arrivals = append(arrivals, skewArrival{at: at, flow: flow, idx: len(arrivals)})
+	})
 	// Flash crowd: an extra stream over [CrowdStart, CrowdEnd) hitting
 	// the CrowdFlows hottest ranks uniformly — the elephants.
 	crowd, err := benchio.NewZipf(sc.CrowdFlows, 0, seed^0xc0ffee)
 	if err != nil {
-		panic(err)
+		return nil, fmt.Errorf("skew: %w", err)
 	}
-	at = sim.Time(sc.CrowdStart)
-	for i := len(arrivals); at < sim.Time(sc.CrowdEnd); i++ {
-		arrivals = append(arrivals, skewArrival{at: at, flow: flowKey(crowd.Next()), idx: i})
-		u := float64(crowd.Uint64()>>11) / (1 << 53)
-		at += sim.Time(-math.Log(1-u) / sc.CrowdRate * float64(time.Second))
-	}
-	return arrivals
+	poisson(sim.Time(sc.CrowdStart), sim.Time(sc.CrowdEnd), sc.CrowdRate, exp(crowd), func(at sim.Time) {
+		arrivals = append(arrivals, skewArrival{at: at, flow: flowKey(crowd.Next()), idx: len(arrivals)})
+	})
+	return arrivals, nil
 }
+
+// uniform draws a float64 in [0, 1) from a Zipf stream's raw bits.
+func uniform(z *benchio.Zipf) float64 { return float64(z.Uint64()>>11) / (1 << 53) }
 
 // skewDispatcher is one policy's routing brain at the gateway position.
 type skewDispatcher interface {
@@ -422,8 +356,10 @@ func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) { return skew(cfg, sc,
 func SkewParallel(cfg Config, sc SkewConfig) (*SkewReport, error) { return skew(cfg, sc, true) }
 
 func skew(cfg Config, sc SkewConfig, parallel bool) (*SkewReport, error) {
-	sc = sc.withDefaults()
-	sched := skewSchedule(cfg, sc)
+	sched, err := skewSchedule(cfg, sc)
+	if err != nil {
+		return nil, err
+	}
 	rep := &SkewReport{}
 	for _, policy := range []string{SkewPolicyRR, SkewPolicyPinned, SkewPolicyMig} {
 		web := sc.workload()
@@ -469,15 +405,12 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 	})
 	inflight := make([]int, len(names))
 	completed := make([]uint64, len(names))
+	led := newLedger(len(sched))
 	var (
-		lat        metrics.Sample
-		errs       int
 		migrations int
 		seq        uint64
-		tickEv     *sim.Event
 	)
-	var tick func()
-	tick = func() {
+	rk.every(sc.RebalanceEvery, end, func() {
 		seq++
 		now := time.Duration(s.Now())
 		for i, name := range names {
@@ -489,11 +422,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 			loads = append(loads, dispatch.Load{Worker: wh.Worker, Load: wh.SmoothedLoad})
 		}
 		migrations += disp.tick(loads)
-		if s.Now() < end {
-			tickEv = s.Reschedule(tickEv, sim.Time(sc.RebalanceEvery))
-		}
-	}
-	tickEv = s.Schedule(sim.Time(sc.RebalanceEvery), tick)
+	})
 
 	for _, a := range sched {
 		a := a
@@ -506,11 +435,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 			rk.call(names[w], backend.Request{ID: web.ID, Payload: payload, Flow: a.flow}, func(res backend.Result) {
 				inflight[w]--
 				completed[w]++
-				if res.Err != nil {
-					errs++
-				} else {
-					lat.AddDuration(time.Duration(s.Now() - start))
-				}
+				led.done(0, start, s.Now()-start, res.Err)
 			})
 		})
 	}
@@ -519,16 +444,10 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 	}
 
 	row := SkewPolicyStat{
-		Policy:      policy,
-		Requests:    len(sched),
-		Errors:      errs,
+		policyRun:   policyRun{Policy: policy, Executed: rk.executed(), FinalClock: rk.clock()},
+		PhaseStat:   led.phase(allClasses, wholeRun),
 		Migrations:  migrations,
 		PinnedFlows: disp.pins(),
-		P50:         time.Duration(lat.P50() * float64(time.Second)),
-		P99:         time.Duration(lat.P99() * float64(time.Second)),
-		P999:        time.Duration(lat.P999() * float64(time.Second)),
-		Executed:    rk.executed(),
-		FinalClock:  time.Duration(rk.clock()),
 	}
 	var sum, max uint64
 	for _, c := range completed {
@@ -562,25 +481,12 @@ func skewVerdict(rep *SkewReport) bool {
 }
 
 // Bench converts the report to the benchmark-artifact schema
-// (BENCH_skew.json): one row per policy, with virtual-clock
-// percentiles suitable for benchio.GuardLatency.
+// (BENCH_skew.json): one row per policy, with virtual-clock results
+// that benchio.GuardExact compares to a baseline exactly.
 func (r *SkewReport) Bench() benchio.Report {
 	rep := benchio.NewReport(nil)
 	for _, row := range r.Rows {
-		res := benchio.Result{
-			Name:      "skew/" + row.Policy,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  row.Requests,
-			Errors:    row.Errors,
-			P50Ns:     row.P50.Nanoseconds(),
-			P99Ns:     row.P99.Nanoseconds(),
-			P999Ns:    row.P999.Nanoseconds(),
-		}
-		if d := row.FinalClock.Seconds(); d > 0 {
-			res.ReqPerSec = float64(row.Requests) / d
-		}
-		rep.Results = append(rep.Results, res)
+		rep.Results = append(rep.Results, benchRow("skew/"+row.Policy, row.PhaseStat, row.FinalClock))
 	}
 	return rep
 }
@@ -600,12 +506,6 @@ func RenderSkew(rep *SkewReport) string {
 			row.Policy, row.Requests, row.Errors, row.P50, row.P99, row.P999,
 			row.Spread, 100*row.WarmRate, row.Migrations, row.PinnedFlows)
 	}
-	if len(rep.Rows) > 0 {
-		fmt.Fprintf(&b, "  fingerprint: %d domains", rep.Domains)
-		for _, row := range rep.Rows {
-			fmt.Fprintf(&b, " %s=%d@%v", row.Policy, row.Executed, row.FinalClock)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
+	writeFingerprint(&b, rep.Domains, rep.Rows)
 	return b.String()
 }

@@ -87,14 +87,21 @@ func TestSkewQuick(t *testing.T) {
 
 func TestSkewScheduleDeterministic(t *testing.T) {
 	cfg, sc := skewQuickConfig(sim.KernelLadder)
-	a := skewSchedule(cfg, sc.withDefaults())
-	b := skewSchedule(cfg, sc.withDefaults())
+	draw := func(cfg Config) []skewArrival {
+		t.Helper()
+		sched, err := skewSchedule(cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sched
+	}
+	a, b := draw(cfg), draw(cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two schedule draws from the same seed diverged")
 	}
 	cfg2 := cfg
 	cfg2.Seed = cfg.Seed + 1
-	c := skewSchedule(cfg2, sc.withDefaults())
+	c := draw(cfg2)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced the same schedule")
 	}

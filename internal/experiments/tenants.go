@@ -9,7 +9,6 @@ import (
 	"lambdanic/internal/benchio"
 	"lambdanic/internal/cluster"
 	"lambdanic/internal/core"
-	"lambdanic/internal/metrics"
 	"lambdanic/internal/nicsim"
 	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
@@ -106,50 +105,6 @@ func QuickTenants() TenantsConfig {
 	}
 }
 
-func (c TenantsConfig) withDefaults() TenantsConfig {
-	d := DefaultTenants()
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.InteractiveRate <= 0 {
-		c.InteractiveRate = d.InteractiveRate
-	}
-	if c.BurstRate <= 0 {
-		c.BurstRate = d.BurstRate
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.BurstStart <= 0 {
-		c.BurstStart = c.Duration / 5
-	}
-	if c.BurstEnd <= 0 {
-		c.BurstEnd = c.Duration * 3 / 5
-	}
-	if c.BatchSweeps <= 0 {
-		c.BatchSweeps = d.BatchSweeps
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = d.InteractiveWeight
-	}
-	if c.BatchWeight <= 0 {
-		c.BatchWeight = d.BatchWeight
-	}
-	if c.BatchRatePerSec <= 0 {
-		c.BatchRatePerSec = d.BatchRatePerSec
-	}
-	if c.BatchBurst <= 0 {
-		c.BatchBurst = d.BatchBurst
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = d.SampleInterval
-	}
-	if c.IsolationP99 <= 0 {
-		c.IsolationP99 = d.IsolationP99
-	}
-	return c
-}
-
 // testbed down-bins the rack's NICs to 4 NPU threads each; everything
 // else (clock, memory latencies, link) is the paper's testbed.
 func (c TenantsConfig) testbed(cfg Config) cluster.Testbed {
@@ -160,34 +115,17 @@ func (c TenantsConfig) testbed(cfg Config) cluster.Testbed {
 	return tb
 }
 
-// Tenant names and SLO targets for the experiment.
+// Tenant names for the experiment.
 const (
-	tenantsInteractive  = "vip"
-	tenantsBatch        = "bulk"
-	tenantsAvailability = 0.999
-	tenantsQuantile     = 0.99
+	tenantsInteractive = "vip"
+	tenantsBatch       = "bulk"
 )
-
-// TenantPhaseStat is one tenant's traffic summary over one phase.
-type TenantPhaseStat struct {
-	Tenant string
-	Phase  string
-	Start  time.Duration
-	End    time.Duration
-	// Requests counts arrivals admitted into the rack; Shed counts
-	// arrivals rejected by gateway admission; Errors counts admitted
-	// requests that failed.
-	Requests int
-	Errors   int
-	Shed     int
-	P50, P99 time.Duration
-}
 
 // TenantsReport is the experiment's outcome.
 type TenantsReport struct {
-	// Phases: before/during/after the burst, per tenant, bucketed by
-	// arrival time.
-	Phases []TenantPhaseStat
+	// Phases: before/during/after the burst, per tenant (the Class),
+	// bucketed by arrival time.
+	Phases []PhaseStat
 	// Shed is the admission controller's total throttle count.
 	Shed uint64
 	// InteractiveCompleted/BatchCompleted are the NIC schedulers' own
@@ -288,19 +226,9 @@ func TenantsParallel(cfg Config, tc TenantsConfig) (*TenantsReport, error) {
 	return tenants(cfg, tc, true)
 }
 
-// tenantsSample is one arrival for phase bucketing.
-type tenantsSample struct {
-	tenantID uint32
-	start    sim.Time
-	latency  time.Duration
-	shed     bool
-	failed   bool
-}
-
 // tenants builds the rack and runs admission, load, SLO grading, and
 // phase bucketing over it.
 func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error) {
-	tc = tc.withDefaults()
 	plane, err := newTenantsPlane(cfg, tc)
 	if err != nil {
 		return nil, err
@@ -323,77 +251,47 @@ func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error
 
 	// The interactive tenant's SLO, graded on the control domain's
 	// virtual clock every sampling interval.
-	slo, err := telemetry.NewSLOTracker(
-		telemetry.NewWindowed(telemetry.WindowConfig{
-			Slots:        4,
-			SlotDuration: tc.SampleInterval,
-		}),
-		telemetry.Objective{
-			Name: "vip-availability", Kind: telemetry.ObjectiveAvailability,
-			Target: tenantsAvailability,
-		},
-		telemetry.Objective{
-			Name: "vip-p99", Kind: telemetry.ObjectiveLatency,
-			Target: tenantsQuantile, Threshold: tc.IsolationP99,
-		},
-	)
+	slo, err := newRackSLO("vip-availability", "vip-p99", tc.SampleInterval, tc.IsolationP99)
 	if err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
 	}
-	sloMeter := slo.Windowed()
-	sloMeter.Stats(0)
-	var sampleEv *sim.Event
-	var sample func()
-	sample = func() {
-		slo.Sample(s.Now())
-		if s.Now() < end {
-			sampleEv = s.Reschedule(sampleEv, tc.SampleInterval)
-		}
-	}
-	sampleEv = s.Schedule(tc.SampleInterval, sample)
+	rk.every(tc.SampleInterval, end, func() { slo.Sample(s.Now()) })
 
 	// Load: both tenants' arrival schedules are drawn up front from the
 	// control domain's seeded source — interactive first, then the
 	// burst — so the whole run is a pure function of the seed. Every
 	// arrival passes gateway admission on the virtual clock before any
 	// wire event is scheduled; shed requests never touch the rack.
-	var samples []tenantsSample
+	led := newLedger(0)
 	next := 0
-	issue := func(wl *workloads.Workload, tenantID uint32, at sim.Time, i int) {
-		payload := wl.MakeRequest(i)
-		s.ScheduleAt(at, func() {
-			start := s.Now()
-			if err := plane.adm.Admit(tenantID, start); err != nil {
-				samples = append(samples, tenantsSample{
-					tenantID: tenantID, start: start, shed: true,
-				})
-				return
-			}
-			name := names[next%len(names)]
-			next++
-			rk.call(name, backend.Request{ID: wl.ID, Payload: payload}, func(res backend.Result) {
-				lat := s.Now() - start
-				if tenantID == plane.vipID {
-					sloMeter.Observe(lat, res.Err != nil)
+	// issue returns an emit for one tenant's arrivals, numbering its
+	// requests from zero.
+	issue := func(wl *workloads.Workload, tenantID uint32) func(sim.Time) {
+		class, i := int(tenantID), 0
+		return func(at sim.Time) {
+			payload := wl.MakeRequest(i)
+			i++
+			s.ScheduleAt(at, func() {
+				start := s.Now()
+				if err := plane.adm.Admit(tenantID, start); err != nil {
+					led.shed(class, start)
+					return
 				}
-				samples = append(samples, tenantsSample{
-					tenantID: tenantID, start: start,
-					latency: lat, failed: res.Err != nil,
+				name := names[next%len(names)]
+				next++
+				rk.call(name, backend.Request{ID: wl.ID, Payload: payload}, func(res backend.Result) {
+					lat := s.Now() - start
+					if tenantID == plane.vipID {
+						slo.Windowed().Observe(lat, res.Err != nil)
+					}
+					led.done(class, start, lat, res.Err)
 				})
 			})
-		})
+		}
 	}
-	rng := s.Rand()
-	at := sim.Time(0)
-	for i := 0; at < end; i++ {
-		issue(plane.web, plane.vipID, at, i)
-		at += sim.Time(rng.ExpFloat64() / tc.InteractiveRate * float64(time.Second))
-	}
-	at = sim.Time(tc.BurstStart)
-	for i := 0; at < sim.Time(tc.BurstEnd); i++ {
-		issue(plane.batch, plane.bulkID, at, i)
-		at += sim.Time(rng.ExpFloat64() / tc.BurstRate * float64(time.Second))
-	}
+	exp := s.Rand().ExpFloat64
+	poisson(0, end, tc.InteractiveRate, exp, issue(plane.web, plane.vipID))
+	poisson(sim.Time(tc.BurstStart), sim.Time(tc.BurstEnd), tc.BurstRate, exp, issue(plane.batch, plane.bulkID))
 
 	if err := rk.run(); err != nil {
 		return nil, fmt.Errorf("tenants: %w", err)
@@ -419,45 +317,23 @@ func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error
 	}
 
 	// Phase bucketing by arrival time, per tenant.
-	bounds := []struct {
-		name       string
-		start, end sim.Time
-	}{
+	spans := []span{
 		{"before", 0, sim.Time(tc.BurstStart)},
 		{"during", sim.Time(tc.BurstStart), sim.Time(tc.BurstEnd)},
 		{"after", sim.Time(tc.BurstEnd), end},
 	}
-	tenants := []struct {
+	for _, tn := range []struct {
 		name string
 		id   uint32
 	}{
 		{tenantsInteractive, plane.vipID},
 		{tenantsBatch, plane.bulkID},
-	}
-	for _, tn := range tenants {
-		for _, b := range bounds {
-			var lat metrics.Sample
-			phase := TenantPhaseStat{Tenant: tn.name, Phase: b.name, Start: b.start, End: b.end}
-			for _, sm := range samples {
-				if sm.tenantID != tn.id || sm.start < b.start || sm.start >= b.end {
-					continue
-				}
-				if sm.shed {
-					phase.Shed++
-					continue
-				}
-				phase.Requests++
-				if sm.failed {
-					phase.Errors++
-				} else {
-					lat.AddDuration(sm.latency)
-				}
-			}
-			phase.P50 = time.Duration(lat.P50() * float64(time.Second))
-			phase.P99 = time.Duration(lat.P99() * float64(time.Second))
-			rep.Phases = append(rep.Phases, phase)
-			if tn.name == tenantsInteractive && b.name == "during" {
-				rep.DuringP99 = phase.P99
+	} {
+		for _, st := range led.phases(int(tn.id), spans) {
+			st.Class = tn.name
+			rep.Phases = append(rep.Phases, st)
+			if tn.name == tenantsInteractive && st.Phase == "during" {
+				rep.DuringP99 = st.P99
 			}
 		}
 	}
@@ -470,19 +346,10 @@ func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error
 func (r *TenantsReport) Bench() benchio.Report {
 	rep := benchio.NewReport(nil)
 	for _, p := range r.Phases {
-		row := benchio.Result{
-			Name:      p.Tenant + "/" + p.Phase,
-			Transport: "nicsim",
-			Mode:      "open",
-			Requests:  p.Requests,
-			Errors:    p.Errors,
-			Shed:      p.Shed,
-			P50Ns:     p.P50.Nanoseconds(),
-			P99Ns:     p.P99.Nanoseconds(),
-		}
-		if d := (p.End - p.Start).Seconds(); d > 0 {
-			row.ReqPerSec = float64(p.Requests) / d
-		}
+		row := benchRow(p.Class+"/"+p.Phase, p, p.End-p.Start)
+		// The isolation bound is a p99: tenant rows carry p50 and p99
+		// only, as the committed baseline does.
+		row.P999Ns = 0
 		rep.Results = append(rep.Results, row)
 	}
 	return rep
@@ -504,7 +371,7 @@ func RenderTenants(rep *TenantsReport) string {
 		"tenant", "phase", "requests", "errors", "shed", "p50", "p99")
 	for _, p := range rep.Phases {
 		fmt.Fprintf(&b, "  %-6s %-7s %9d %7d %7d %11v %11v\n",
-			p.Tenant, p.Phase, p.Requests, p.Errors, p.Shed, p.P50, p.P99)
+			p.Class, p.Phase, p.Requests, p.Errors, p.Shed, p.P50, p.P99)
 	}
 	if rep.SLO != nil {
 		for _, line := range strings.Split(strings.TrimRight(rep.SLO.Text(), "\n"), "\n") {

@@ -43,7 +43,7 @@ func TestTenantsIsolationQuick(t *testing.T) {
 	var vipReqs, bulkReqs, shed int
 	for _, p := range rep.Phases {
 		shed += p.Shed
-		switch p.Tenant {
+		switch p.Class {
 		case "vip":
 			vipReqs += p.Requests
 		case "bulk":
@@ -64,7 +64,7 @@ func TestTenantsIsolationQuick(t *testing.T) {
 	// real work despite the flood.
 	for _, p := range rep.Phases {
 		if p.Phase != "during" && p.Shed != 0 {
-			t.Errorf("%s/%s shed %d requests outside the burst", p.Tenant, p.Phase, p.Shed)
+			t.Errorf("%s/%s shed %d requests outside the burst", p.Class, p.Phase, p.Shed)
 		}
 	}
 
@@ -91,7 +91,7 @@ func TestTenantsIsolationQuick(t *testing.T) {
 // tenantsFingerprint is every report field that must be bit-identical
 // across kernels and across the serial/parallel topologies.
 type tenantsFingerprint struct {
-	Phases               []TenantPhaseStat
+	Phases               []PhaseStat
 	Shed                 uint64
 	Interactive, Batch   uint64
 	DuringP99            time.Duration
