@@ -83,6 +83,12 @@ func run(args []string) error {
 	if len(routes) == 0 {
 		return fmt.Errorf("at least one -route is required")
 	}
+	if *imbalance < 1 {
+		return fmt.Errorf("-imbalance %v: must be at least 1", *imbalance)
+	}
+	if *rebalanceTopK < 1 {
+		return fmt.Errorf("-rebalance-topk %d: must be at least 1", *rebalanceTopK)
+	}
 
 	// A nil injector wraps connections as pass-throughs, so the
 	// unfaulted hot path is untouched.

@@ -46,3 +46,17 @@ func TestRunRejectsBadFaultRule(t *testing.T) {
 		t.Error("bad fault rule accepted")
 	}
 }
+
+func TestRunRejectsImbalanceBelowOne(t *testing.T) {
+	err := run([]string{"-route", "1=127.0.0.1:9000", "-imbalance", "0.5"})
+	if err == nil || !strings.Contains(err.Error(), "-imbalance") {
+		t.Errorf("run -imbalance 0.5 = %v, want an -imbalance error", err)
+	}
+}
+
+func TestRunRejectsRebalanceTopKBelowOne(t *testing.T) {
+	err := run([]string{"-route", "1=127.0.0.1:9000", "-rebalance-topk", "0"})
+	if err == nil || !strings.Contains(err.Error(), "-rebalance-topk") {
+		t.Errorf("run -rebalance-topk 0 = %v, want a -rebalance-topk error", err)
+	}
+}

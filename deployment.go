@@ -242,24 +242,14 @@ func (d *Deployment) startHealth(cfg DeploymentConfig) error {
 		return nil
 	})
 	if cfg.Rebalance {
-		// The rebalancer consumes healthd's smoothed load: flows from
-		// overloaded workers' elephants migrate to the least-loaded
-		// survivors. Dead or suspect workers are excluded from the
-		// report so migrations never target them.
+		// The rebalancer consumes healthd's smoothed load of the Alive
+		// workers: flows from overloaded workers' elephants migrate to
+		// the least-loaded survivors.
 		every := cfg.RebalanceInterval
 		if every <= 0 {
 			every = 4 * interval
 		}
-		loads := func() []dispatch.Load {
-			var out []dispatch.Load
-			for _, wh := range det.Snapshot(time.Since(epoch)) {
-				if wh.Status != healthd.StatusAlive {
-					continue
-				}
-				out = append(out, dispatch.Load{Worker: wh.Worker, Load: wh.SmoothedLoad})
-			}
-			return out
-		}
+		loads := func() []dispatch.Load { return det.Loads(time.Since(epoch)) }
 		stop := d.gw.StartRebalancer(gateway.RebalanceConfig{Every: every, Loads: loads})
 		d.closers = append(d.closers, func() error { stop(); return nil })
 	}

@@ -1,14 +1,18 @@
 // Package dispatch implements flow-affine, load-aware request placement:
-// a seeded consistent-hash ring for flow-to-worker pinning, a sliding-window
-// flow-rate sketch for elephant detection, a deterministic migration planner,
-// and a small fixed-capacity LRU used to model per-core warm state.
+// Table, an immutable flow router (a seeded consistent-hash ring plus
+// standing elephant pins); FlowStats, a lock-free sliding-window
+// flow-rate sketch for elephant detection; Plan, a deterministic
+// migration planner that Table.Rebalance drives; and a small
+// fixed-capacity LRU used to model per-core warm state.
 //
 // λ-NIC's gateway originally sprayed requests round-robin, destroying any
 // warm state (match-table entries, KV working set, I-cache) a worker had
 // built for a client. The oRSS-NIC direction is flow-to-core affinity plus
 // migration of only the heavy flows: mice stay pinned so locality is
-// preserved, elephants move so no worker melts. Everything here is
-// deterministic under a fixed seed so simulation runs are bit-identical.
+// preserved, elephants move so no worker melts. The live gateway and the
+// simulated skew experiment route through the same Table and FlowStats.
+// Everything here is deterministic under a fixed seed so simulation runs
+// are bit-identical.
 package dispatch
 
 import "sort"
@@ -48,29 +52,26 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// DefaultVirtualNodes is the per-member vnode count used when a Ring is
-// built with vnodes <= 0. 64 keeps the load spread within a few percent of
-// even for double-digit member counts while keeping ring rebuilds cheap.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-member vnode count: 64 keeps the load spread
+// within a few percent of even for double-digit member counts while
+// keeping ring rebuilds cheap.
+const virtualNodes = 64
 
 // Ring is an immutable seeded consistent-hash ring. Build one per member
-// set; route-table writers rebuild it inside their copy-on-write snapshot
-// swap, so readers never observe a half-updated ring.
+// set; Table rebuilds it whenever its members change, so readers never
+// observe a half-updated ring.
 type Ring struct {
 	points  []uint64 // sorted vnode hash points
 	owners  []int    // owners[i] = member index owning points[i]
 	members []string
 }
 
-// NewRing builds a ring over members with the given seed and per-member
-// vnode count (vnodes <= 0 selects DefaultVirtualNodes). Member order does
-// not matter: placement depends only on the member names and the seed, so
-// adding or removing one member leaves unrelated flows pinned where they
-// were. An empty member list yields a ring whose Pick returns -1.
-func NewRing(members []string, seed uint64, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring over members with the given seed. Member order
+// does not matter: placement depends only on the member names and the
+// seed, so adding or removing one member leaves unrelated flows pinned
+// where they were. An empty member list yields a ring whose Pick
+// returns -1.
+func NewRing(members []string, seed uint64) *Ring {
 	r := &Ring{members: append([]string(nil), members...)}
 	if len(members) == 0 {
 		return r
@@ -79,7 +80,7 @@ func NewRing(members []string, seed uint64, vnodes int) *Ring {
 		hash  uint64
 		owner int
 	}
-	pts := make([]point, 0, len(members)*vnodes)
+	pts := make([]point, 0, len(members)*virtualNodes)
 	for i, m := range members {
 		h := uint64(fnvOffset64)
 		for j := 0; j < len(m); j++ {
@@ -87,7 +88,7 @@ func NewRing(members []string, seed uint64, vnodes int) *Ring {
 			h *= fnvPrime64
 		}
 		h ^= seed
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			pts = append(pts, point{mix64(h + uint64(v)*0x9e3779b97f4a7c15), i})
 		}
 	}

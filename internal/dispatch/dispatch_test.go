@@ -28,9 +28,9 @@ func members(n int) []string {
 
 func TestRingDeterministicAndSeedSensitive(t *testing.T) {
 	m := members(8)
-	r1 := NewRing(m, 42, 0)
-	r2 := NewRing(m, 42, 0)
-	r3 := NewRing(m, 43, 0)
+	r1 := NewRing(m, 42)
+	r2 := NewRing(m, 42)
+	r3 := NewRing(m, 43)
 	same, diff := 0, 0
 	for f := uint64(0); f < 1000; f++ {
 		if r1.Pick(f) != r2.Pick(f) {
@@ -54,8 +54,8 @@ func TestRingOrderIndependent(t *testing.T) {
 	for i, s := range m {
 		rev[len(m)-1-i] = s
 	}
-	r1 := NewRing(m, 7, 0)
-	r2 := NewRing(rev, 7, 0)
+	r1 := NewRing(m, 7)
+	r2 := NewRing(rev, 7)
 	for f := uint64(0); f < 500; f++ {
 		if r1.Members()[r1.Pick(f)] != r2.Members()[r2.Pick(f)] {
 			t.Fatalf("member order changed placement for flow %d", f)
@@ -65,7 +65,7 @@ func TestRingOrderIndependent(t *testing.T) {
 
 func TestRingSpread(t *testing.T) {
 	m := members(8)
-	r := NewRing(m, 1, 0)
+	r := NewRing(m, 1)
 	counts := make([]int, len(m))
 	const flows = 20000
 	for f := uint64(0); f < flows; f++ {
@@ -82,8 +82,8 @@ func TestRingSpread(t *testing.T) {
 // Removing one member must only move flows that were pinned to it.
 func TestRingStabilityOnMemberRemoval(t *testing.T) {
 	m := members(8)
-	full := NewRing(m, 9, 0)
-	without := NewRing(append(append([]string{}, m[:3]...), m[4:]...), 9, 0)
+	full := NewRing(m, 9)
+	without := NewRing(append(append([]string{}, m[:3]...), m[4:]...), 9)
 	moved := 0
 	for f := uint64(0); f < 5000; f++ {
 		before := full.Members()[full.Pick(f)]
@@ -105,7 +105,7 @@ func TestRingStabilityOnMemberRemoval(t *testing.T) {
 
 func TestRingSuccessorsDistinctAndStartAtOwner(t *testing.T) {
 	m := members(5)
-	r := NewRing(m, 3, 0)
+	r := NewRing(m, 3)
 	for f := uint64(0); f < 200; f++ {
 		succ := r.Successors(f, len(m))
 		if len(succ) != len(m) {
@@ -125,7 +125,7 @@ func TestRingSuccessorsDistinctAndStartAtOwner(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 1, 0)
+	r := NewRing(nil, 1)
 	if r.Pick(123) != -1 {
 		t.Fatal("empty ring must return -1")
 	}
@@ -134,66 +134,99 @@ func TestRingEmpty(t *testing.T) {
 	}
 }
 
+func TestFlowStatsObserveAndTopK(t *testing.T) {
+	var fs FlowStats
+	for i := 0; i < 100; i++ {
+		fs.Observe(7)
+	}
+	for i := 0; i < 10; i++ {
+		fs.Observe(8)
+	}
+	fs.Observe(9)
+	top := fs.TopK(2)
+	if len(top) != 2 || top[0].Flow != 7 || top[1].Flow != 8 {
+		t.Fatalf("TopK = %+v", top)
+	}
+	if top[0].Rate != 100 {
+		t.Fatalf("rate = %d, want 100", top[0].Rate)
+	}
+}
+
+func TestFlowStatsDecayReclaims(t *testing.T) {
+	var fs FlowStats
+	fs.Observe(5)
+	fs.Decay()
+	if got := fs.TopK(8); len(got) != 0 {
+		t.Fatalf("one-shot flow survived decay: %+v", got)
+	}
+	// An elephant decays but survives.
+	for i := 0; i < 64; i++ {
+		fs.Observe(6)
+	}
+	fs.Decay()
+	top := fs.TopK(1)
+	if len(top) != 1 || top[0].Flow != 6 || top[0].Rate != 32 {
+		t.Fatalf("elephant after decay = %+v", top)
+	}
+}
+
+func TestFlowStatsZeroFlowIgnored(t *testing.T) {
+	var fs FlowStats
+	fs.Observe(0)
+	if got := fs.TopK(8); len(got) != 0 {
+		t.Fatalf("flow 0 tracked: %+v", got)
+	}
+}
+
 func TestSketchElephantsFloat(t *testing.T) {
-	s := NewSketch(64)
+	var fs FlowStats
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 100; i++ {
-			s.Observe(1) // elephant
+			fs.Observe(1) // elephant
 		}
-		s.Observe(uint64(1000 + round)) // a different mouse each round
-		s.Advance()
+		fs.Observe(uint64(1000 + round)) // a different mouse each round
+		fs.Decay()
 	}
-	top := s.TopK(1)
+	top := fs.TopK(1)
 	if len(top) != 1 || top[0].Flow != 1 {
 		t.Fatalf("elephant not on top: %+v", top)
 	}
-	if s.Rate(1) == 0 {
+	if top[0].Rate == 0 {
 		t.Fatal("elephant decayed to zero despite sustained traffic")
 	}
 }
 
 func TestSketchDecayReclaims(t *testing.T) {
-	s := NewSketch(8)
-	s.Observe(5)
+	var fs FlowStats
+	fs.Observe(5)
 	for i := 0; i < 4; i++ {
-		s.Advance()
+		fs.Decay()
 	}
-	if s.Flows() != 0 {
-		t.Fatalf("one-shot flow not reclaimed, %d flows live", s.Flows())
-	}
-}
-
-func TestSketchBoundedNoElephantChurn(t *testing.T) {
-	s := NewSketch(4)
-	for i := 0; i < 100; i++ {
-		s.Observe(1)
-		s.Observe(2)
-		s.Observe(3)
-		s.Observe(4)
-	}
-	// Table is full of warm flows; a newcomer must not evict them.
-	s.Observe(99)
-	if s.Rate(99) != 0 {
-		t.Fatal("newcomer evicted a warm flow")
-	}
-	if s.Flows() != 4 {
-		t.Fatalf("want 4 flows, got %d", s.Flows())
-	}
-	if s.Rate(1) == 0 || s.Rate(4) == 0 {
-		t.Fatal("warm flow lost")
+	if got := fs.TopK(flowSlots); len(got) != 0 {
+		t.Fatalf("one-shot flow not reclaimed, %d flows live", len(got))
 	}
 }
 
 func TestSketchTopKDeterministicOrder(t *testing.T) {
-	s := NewSketch(16)
+	var fs FlowStats
 	for f := uint64(1); f <= 5; f++ {
 		for i := uint64(0); i < f*10; i++ {
-			s.Observe(f)
+			fs.Observe(f)
 		}
 	}
-	top := s.TopK(3)
-	if len(top) != 3 || top[0].Flow != 5 || top[1].Flow != 4 || top[2].Flow != 3 {
+	for i := 0; i < 30; i++ {
+		fs.Observe(31) // ties flow 3; the lower key ranks first
+		fs.Observe(30)
+	}
+	top := fs.TopK(5)
+	want := []uint64{5, 4, 3, 30, 31}
+	if len(top) != len(want) {
 		t.Fatalf("unexpected top-k: %+v", top)
+	}
+	for i, f := range want {
+		if top[i].Flow != f {
+			t.Fatalf("unexpected top-k: %+v", top)
+		}
 	}
 }
 

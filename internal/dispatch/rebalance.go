@@ -25,7 +25,7 @@ type Migration struct {
 // it is currently pinned to (ring pick + any standing migrations).
 //
 // The plan is deterministic: loads are sorted by (load, name), elephants
-// arrive sorted from Sketch.TopK, and each decision depends only on the
+// arrive sorted from FlowStats.TopK, and each decision depends only on the
 // inputs. Returns nil when the fleet is balanced or has fewer than two
 // workers.
 func Plan(loads []Load, elephants []HeavyFlow, owner func(flow uint64) string, ratio float64) []Migration {

@@ -38,6 +38,11 @@ import (
 //	            top-k elephant flows (per-flow rate sketch) migrate to
 //	            underloaded workers. Mice stay pinned and warm.
 //
+// Both affine policies run the gateway's own routing code: pinned is a
+// dispatch.Table that is never rebalanced, and pinned+mig steps that
+// Table with Table.Rebalance over a dispatch.FlowStats sketch — the
+// same step Gateway.RebalanceOnce runs per workload.
+//
 // The report compares p50/p99/p999, per-worker load spread, and warm-
 // hit rate per policy; its fingerprint (event count, final clock) is
 // bit-identical between Skew and SkewParallel and between sim kernels.
@@ -246,107 +251,6 @@ func skewSchedule(cfg Config, sc SkewConfig) ([]skewArrival, error) {
 // uniform draws a float64 in [0, 1) from a Zipf stream's raw bits.
 func uniform(z *benchio.Zipf) float64 { return float64(z.Uint64()>>11) / (1 << 53) }
 
-// skewDispatcher is one policy's routing brain at the gateway position.
-type skewDispatcher interface {
-	// observe feeds the arrival into rate tracking (before pick).
-	observe(flow uint64)
-	// pick returns the worker index for the flow.
-	pick(flow uint64) int
-	// tick consumes a smoothed load report and may migrate; returns the
-	// number of migrations applied.
-	tick(loads []dispatch.Load) int
-	// pins reports standing migrations at run end.
-	pins() int
-}
-
-type rrDispatch struct{ next, n int }
-
-func (d *rrDispatch) observe(uint64) {}
-func (d *rrDispatch) pick(uint64) int {
-	w := d.next % d.n
-	d.next++
-	return w
-}
-func (d *rrDispatch) tick([]dispatch.Load) int { return 0 }
-func (d *rrDispatch) pins() int                { return 0 }
-
-type pinDispatch struct{ ring *dispatch.Ring }
-
-func (d *pinDispatch) observe(uint64) {}
-func (d *pinDispatch) pick(flow uint64) int {
-	return d.ring.Pick(flow)
-}
-func (d *pinDispatch) tick([]dispatch.Load) int { return 0 }
-func (d *pinDispatch) pins() int                { return 0 }
-
-type migDispatch struct {
-	ring   *dispatch.Ring
-	sketch *dispatch.Sketch
-	pinned map[uint64]int
-	names  []string
-	index  map[string]int
-	topK   int
-	ratio  float64
-}
-
-func newMigDispatch(names []string, seed uint64, topK int, ratio float64) *migDispatch {
-	index := make(map[string]int, len(names))
-	for i, n := range names {
-		index[n] = i
-	}
-	return &migDispatch{
-		ring:   dispatch.NewRing(names, seed, dispatch.DefaultVirtualNodes),
-		sketch: dispatch.NewSketch(256),
-		pinned: make(map[uint64]int),
-		names:  names,
-		index:  index,
-		topK:   topK,
-		ratio:  ratio,
-	}
-}
-
-func (d *migDispatch) observe(flow uint64) { d.sketch.Observe(flow) }
-
-func (d *migDispatch) pick(flow uint64) int {
-	if w, ok := d.pinned[flow]; ok {
-		return w
-	}
-	return d.ring.Pick(flow)
-}
-
-func (d *migDispatch) tick(loads []dispatch.Load) int {
-	owner := func(flow uint64) string { return d.names[d.pick(flow)] }
-	plan := dispatch.Plan(loads, d.sketch.TopK(d.topK), owner, d.ratio)
-	applied := 0
-	for _, m := range plan {
-		to, ok := d.index[m.To]
-		if !ok {
-			continue
-		}
-		if d.ring.Pick(m.Flow) == to {
-			delete(d.pinned, m.Flow) // back on its ring owner: just unpin
-		} else {
-			d.pinned[m.Flow] = to
-		}
-		applied++
-	}
-	d.sketch.Advance()
-	return applied
-}
-
-func (d *migDispatch) pins() int { return len(d.pinned) }
-
-func (c SkewConfig) dispatcher(policy string, names []string, seed uint64) skewDispatcher {
-	switch policy {
-	case SkewPolicyRR:
-		return &rrDispatch{n: len(names)}
-	case SkewPolicyPinned:
-		return &pinDispatch{ring: dispatch.NewRing(names, seed, dispatch.DefaultVirtualNodes)}
-	default:
-		return newMigDispatch(names, seed, c.TopK, c.ImbalanceRatio)
-	}
-}
-
 // Skew runs all three policies with each rack on one clock.
 func Skew(cfg Config, sc SkewConfig) (*SkewReport, error) { return skew(cfg, sc, false) }
 
@@ -386,15 +290,24 @@ func skew(cfg Config, sc SkewConfig, parallel bool) (*SkewReport, error) {
 	return rep, nil
 }
 
-// skewRun is the harness for one policy's rack: issue the
-// shared schedule through the policy's dispatcher, feed the healthd
-// detector smoothed load on the virtual clock, rebalance on ticks, and
+// skewRun is the harness for one policy's rack: issue the shared
+// schedule through the policy's router, feed the healthd detector
+// smoothed load on the virtual clock, rebalance on ticks, and
 // summarize.
 func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched []skewArrival, policy string) (SkewPolicyStat, error) {
 	names := rk.names
 	s := rk.ctrl
 	end := sim.Time(sc.Duration)
-	disp := sc.dispatcher(policy, names, uint64(cfg.Seed))
+
+	// Round-robin is a bare counter. The affine policies route through
+	// the gateway's flow router; pinned+mig also feeds its flow-rate
+	// sketch and runs the gateway's rebalancer step on every tick.
+	table := dispatch.NewTable(names, uint64(cfg.Seed))
+	var stats *dispatch.FlowStats
+	if policy == SkewPolicyMig {
+		stats = new(dispatch.FlowStats)
+	}
+	rr := 0
 
 	// Load reports ride the same detector the live deployment's
 	// rebalancer consumes: per-worker in-flight counts sampled at tick
@@ -416,20 +329,25 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 		for i, name := range names {
 			det.Observe(healthd.Heartbeat{Worker: name, Seq: seq, Load: inflight[i]}, now)
 		}
-		snap := det.Snapshot(now)
-		loads := make([]dispatch.Load, 0, len(snap))
-		for _, wh := range snap {
-			loads = append(loads, dispatch.Load{Worker: wh.Worker, Load: wh.SmoothedLoad})
+		if stats != nil {
+			var applied int
+			table, applied = table.Rebalance(stats, det.Loads(now), sc.TopK, sc.ImbalanceRatio)
+			migrations += applied
 		}
-		migrations += disp.tick(loads)
 	})
 
 	for _, a := range sched {
 		a := a
 		payload := web.MakeRequest(a.idx)
 		s.ScheduleAt(a.at, func() {
-			disp.observe(a.flow)
-			w := disp.pick(a.flow)
+			if stats != nil {
+				stats.Observe(a.flow)
+			}
+			w := table.Owner(a.flow)
+			if policy == SkewPolicyRR {
+				w = rr % len(names)
+				rr++
+			}
 			inflight[w]++
 			start := s.Now()
 			rk.call(names[w], backend.Request{ID: web.ID, Payload: payload, Flow: a.flow}, func(res backend.Result) {
@@ -447,7 +365,7 @@ func skewRun(cfg Config, sc SkewConfig, web *workloads.Workload, rk *rack, sched
 		policyRun:   policyRun{Policy: policy, Executed: rk.executed(), FinalClock: rk.clock()},
 		PhaseStat:   led.phase(allClasses, wholeRun),
 		Migrations:  migrations,
-		PinnedFlows: disp.pins(),
+		PinnedFlows: table.Pinned(),
 	}
 	var sum, max uint64
 	for _, c := range completed {

@@ -89,6 +89,20 @@ type routeTable struct {
 	m map[uint32]*workloadRoute
 }
 
+// with returns a snapshot sharing rt's entries, with workload id's
+// entry replaced by wr (removed when wr is nil).
+func (rt *routeTable) with(id uint32, wr *workloadRoute) *routeTable {
+	next := make(map[uint32]*workloadRoute, len(rt.m)+1)
+	for wid, e := range rt.m {
+		next[wid] = e
+	}
+	delete(next, id)
+	if wr != nil {
+		next[id] = wr
+	}
+	return &routeTable{m: next}
+}
+
 // instruments is the optional monitoring-engine (§6.1.1) and tracing
 // hook-up, snapshotted as one unit.
 type instruments struct {
@@ -191,8 +205,9 @@ func (g *Gateway) LiveWorkers() int {
 // EvictWorker removes a worker from every route and aborts the in-flight
 // calls addressed to it — the drain step of healthd's eviction: pending
 // requests fail over to surviving replicas immediately instead of
-// waiting out the retransmit schedule. Returns the number of routes the
-// worker was removed from.
+// waiting out the retransmit schedule. Pins to surviving workers are
+// kept and pins to the evicted one dropped (dispatch.Table.Without).
+// Returns the number of routes the worker was removed from.
 func (g *Gateway) EvictWorker(addr net.Addr) int {
 	key := addr.String()
 	g.mu.Lock()
@@ -213,27 +228,7 @@ func (g *Gateway) EvictWorker(addr net.Addr) int {
 			removed++
 		default:
 			removed++
-			// Rebuild the ring over the survivors. Pins to surviving
-			// workers are remapped by address (stable); pins to the
-			// evicted worker are dropped, so those flows revert to their
-			// ring owner deterministically.
-			var pins map[uint64]int
-			if len(wr.pins) > 0 {
-				index := make(map[string]int, len(kept))
-				for i, w := range kept {
-					index[w.String()] = i
-				}
-				pins = make(map[uint64]int, len(wr.pins))
-				for f, wi := range wr.pins {
-					if wi < 0 || wi >= len(wr.workers) {
-						continue
-					}
-					if ni, ok := index[wr.workers[wi].String()]; ok {
-						pins[f] = ni
-					}
-				}
-			}
-			next[id] = newWorkloadRoute(kept, g.ringSeed, pins, wr.stats)
+			next[id] = &workloadRoute{workers: kept, Table: wr.Without(key), FlowStats: wr.FlowStats}
 		}
 	}
 	g.routes.Store(&routeTable{m: next})
@@ -252,19 +247,22 @@ func (g *Gateway) SetRoute(id uint32, workers []net.Addr) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	old := g.routes.Load()
-	next := make(map[uint32]*workloadRoute, len(old.m)+1)
-	var stats *flowStats
-	for wid, wr := range old.m {
-		if wid != id {
-			next[wid] = wr
-		} else {
-			stats = wr.stats
+	var wr *workloadRoute
+	if len(workers) > 0 {
+		names := make([]string, len(workers))
+		for i, w := range workers {
+			names[i] = w.String()
+		}
+		wr = &workloadRoute{
+			workers:   append([]net.Addr(nil), workers...),
+			Table:     dispatch.NewTable(names, g.ringSeed),
+			FlowStats: new(dispatch.FlowStats),
+		}
+		if cur := old.m[id]; cur != nil {
+			wr.FlowStats = cur.FlowStats
 		}
 	}
-	if len(workers) > 0 {
-		next[id] = newWorkloadRoute(append([]net.Addr(nil), workers...), g.ringSeed, nil, stats)
-	}
-	g.routes.Store(&routeTable{m: next})
+	g.routes.Store(old.with(id, wr))
 }
 
 // Routes returns a snapshot of the routing table.
@@ -417,8 +415,8 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		src = req.Source.String()
 	}
 	flow := dispatch.FlowKey(src, req.Header.WorkloadID)
-	wr.stats.observe(flow)
-	owner := wr.ownerIndex(flow)
+	wr.Observe(flow)
+	owner := wr.Owner(flow)
 	attempts := len(wr.workers)
 	// The successor order is only materialized on the first failover —
 	// the happy path costs one ring lookup and no allocation.
@@ -428,7 +426,7 @@ func (g *Gateway) handle(req *transport.Message) ([]byte, error) {
 		wi := owner
 		if attempt > 0 {
 			if order == nil {
-				order = wr.failoverOrder(flow, owner)
+				order = wr.Failover(flow, owner)
 			}
 			wi = order[attempt-1]
 		}

@@ -203,11 +203,9 @@ func TestGatewayPinsStableUnderRouteChurn(t *testing.T) {
 	cli := testClient(t, n)
 	wr := gw.routes.Load().m[1]
 	flow := dispatch.FlowKey("client", 1)
-	owner := wr.ownerIndex(flow)
+	owner := wr.Owner(flow)
 	target := (owner + 1) % len(names)
-	applied := gw.applyMigrations(1, []dispatch.Migration{
-		{Flow: flow, From: names[owner], To: names[target]},
-	})
+	applied := applyPlan(gw, 1, dispatch.Migration{Flow: flow, From: names[owner], To: names[target]})
 	if applied != 1 {
 		t.Fatalf("applied = %d, want 1", applied)
 	}
@@ -273,9 +271,7 @@ func TestGatewayPinsStableUnderRouteChurn(t *testing.T) {
 	// exactly while workload 2 is rewritten concurrently (untouched
 	// entries are shared, so the pin cannot move).
 	gw.SetRoute(1, workers)
-	gw.applyMigrations(1, []dispatch.Migration{
-		{Flow: flow, From: names[owner], To: names[target]},
-	})
+	applyPlan(gw, 1, dispatch.Migration{Flow: flow, From: names[owner], To: names[target]})
 	stop2 := make(chan struct{})
 	var churn2 sync.WaitGroup
 	churn2.Add(1)

@@ -347,8 +347,8 @@ func TestGatewayFailoverDeterministicSuccessor(t *testing.T) {
 	// start every worker except the owner.
 	wr := gw.routes.Load().m[1]
 	flow := dispatch.FlowKey("client", 1)
-	owner := wr.ownerIndex(flow)
-	succ := wr.failoverOrder(flow, owner)
+	owner := wr.Owner(flow)
+	succ := wr.Failover(flow, owner)
 	for i, name := range names {
 		if i != owner {
 			echoWorker(t, n, name)

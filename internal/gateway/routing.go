@@ -10,150 +10,15 @@ import (
 	"lambdanic/internal/dispatch"
 )
 
-// workloadRoute is the immutable routing state for one workload: the
-// worker set, the seeded consistent-hash ring pinning flows to workers,
-// and the standing elephant migrations (flow -> worker index) layered
-// on top of the ring. stats is the only mutable field — a lock-free
-// lossy flow-rate table shared across snapshots so observation survives
-// route updates.
+// workloadRoute is the routing state for one workload: the worker set
+// and its flow router (ring plus standing elephant pins, immutable per
+// snapshot; member i is workers[i]). The flow-rate sketch is the only
+// mutable part — lock-free, and shared across snapshots so observation
+// survives route updates.
 type workloadRoute struct {
 	workers []net.Addr
-	ring    *dispatch.Ring
-	pins    map[uint64]int
-	stats   *flowStats
-}
-
-// newWorkloadRoute builds a route entry, constructing the ring over the
-// workers' addresses. pins and stats may be nil (fresh entry).
-func newWorkloadRoute(workers []net.Addr, seed uint64, pins map[uint64]int, stats *flowStats) *workloadRoute {
-	names := make([]string, len(workers))
-	for i, w := range workers {
-		names[i] = w.String()
-	}
-	if stats == nil {
-		stats = newFlowStats()
-	}
-	return &workloadRoute{
-		workers: workers,
-		ring:    dispatch.NewRing(names, seed, 0),
-		pins:    pins,
-		stats:   stats,
-	}
-}
-
-// ownerIndex is the worker index a flow is pinned to: a standing
-// migration wins, otherwise the ring decides.
-func (wr *workloadRoute) ownerIndex(flow uint64) int {
-	if idx, ok := wr.pins[flow]; ok && idx >= 0 && idx < len(wr.workers) {
-		return idx
-	}
-	return wr.ring.Pick(flow)
-}
-
-// failoverOrder is the deterministic retry order after the owner
-// failed: the flow's ring successors, skipping the failed owner. Every
-// gateway computes the same order, so a pinned flow re-pins to the same
-// live successor everywhere instead of scattering.
-func (wr *workloadRoute) failoverOrder(flow uint64, owner int) []int {
-	succ := wr.ring.Successors(flow, len(wr.workers))
-	out := make([]int, 0, len(succ))
-	for _, s := range succ {
-		if s != owner {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// pinnedFlows counts standing migrations.
-func (wr *workloadRoute) pinnedFlows() int { return len(wr.pins) }
-
-// flowStats is a fixed-size, lock-free, lossy per-flow rate table — the
-// sliding-window sketch feeding elephant detection. The request path
-// records with at most flowProbes CAS/add operations and never blocks;
-// the rebalancer scans and decays it once per tick. Collisions drop
-// samples (lossy), which only ever under-counts a flow — an elephant
-// generates so many samples it cannot stay hidden.
-type flowStats struct {
-	slots [flowSlots]flowSlot
-}
-
-type flowSlot struct {
-	key  atomic.Uint64
-	hits atomic.Uint64
-}
-
-const (
-	flowSlots  = 1024 // power of two
-	flowProbes = 4
-)
-
-func newFlowStats() *flowStats { return &flowStats{} }
-
-// observe records one request for the flow (flow 0 is never tracked).
-func (fs *flowStats) observe(flow uint64) {
-	if flow == 0 {
-		return
-	}
-	idx := int(flow>>32^flow) & (flowSlots - 1)
-	for p := 0; p < flowProbes; p++ {
-		slot := &fs.slots[(idx+p)&(flowSlots-1)]
-		k := slot.key.Load()
-		if k == flow {
-			slot.hits.Add(1)
-			return
-		}
-		if k == 0 && slot.key.CompareAndSwap(0, flow) {
-			slot.hits.Add(1)
-			return
-		}
-	}
-	// All probe slots taken by other flows: drop the sample.
-}
-
-// decay halves every count and frees dead slots — the sliding window.
-// Races with concurrent observes can lose a sample; the window is a
-// heuristic, not an invariant.
-func (fs *flowStats) decay() {
-	for i := range fs.slots {
-		slot := &fs.slots[i]
-		if slot.key.Load() == 0 {
-			continue
-		}
-		h := slot.hits.Load() >> 1
-		slot.hits.Store(h)
-		if h == 0 {
-			slot.key.Store(0)
-		}
-	}
-}
-
-// topK returns the k heaviest tracked flows, deterministic order.
-func (fs *flowStats) topK(k int) []dispatch.HeavyFlow {
-	if k <= 0 {
-		return nil
-	}
-	var all []dispatch.HeavyFlow
-	for i := range fs.slots {
-		slot := &fs.slots[i]
-		key := slot.key.Load()
-		if key == 0 {
-			continue
-		}
-		if h := slot.hits.Load(); h > 0 {
-			all = append(all, dispatch.HeavyFlow{Flow: key, Rate: h})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Rate != all[b].Rate {
-			return all[a].Rate > all[b].Rate
-		}
-		return all[a].Flow < all[b].Flow
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	*dispatch.Table
+	*dispatch.FlowStats
 }
 
 // RebalanceConfig parameterizes the elephant-flow rebalancer.
@@ -161,11 +26,11 @@ type RebalanceConfig struct {
 	// Every is the tick period (default 1s).
 	Every time.Duration
 	// TopK bounds how many elephants per workload are considered each
-	// tick (default 8).
+	// tick (0 selects 8).
 	TopK int
 	// ImbalanceRatio is the overload threshold: a worker whose load
 	// exceeds ratio × the mean triggers migration of its elephants
-	// (default 1.5).
+	// (0 selects 1.5; 1 migrates off any worker above the mean).
 	ImbalanceRatio float64
 	// Loads supplies per-worker load, keyed by worker address string.
 	// Nil falls back to the gateway's own per-worker in-flight counts;
@@ -177,10 +42,10 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Every <= 0 {
 		c.Every = time.Second
 	}
-	if c.TopK <= 0 {
+	if c.TopK == 0 {
 		c.TopK = 8
 	}
-	if c.ImbalanceRatio <= 1 {
+	if c.ImbalanceRatio == 0 {
 		c.ImbalanceRatio = 1.5
 	}
 	return c
@@ -247,20 +112,31 @@ func (g *Gateway) RebalanceOnce(cfg RebalanceConfig) int {
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	applied := 0
 	for _, id := range ids {
-		wr := rt.m[id]
-		if len(wr.workers) < 2 {
-			wr.stats.decay()
-			continue
-		}
-		elephants := wr.stats.topK(cfg.TopK)
-		if len(elephants) > 0 {
-			loads := g.loadsFor(wr, report)
-			owner := func(f uint64) string { return wr.workers[wr.ownerIndex(f)].String() }
-			plan := dispatch.Plan(loads, elephants, owner, cfg.ImbalanceRatio)
-			applied += g.applyMigrations(id, plan)
-		}
-		wr.stats.decay()
+		applied += g.stepRoute(id, func(wr *workloadRoute) (*dispatch.Table, int) {
+			return wr.Rebalance(wr.FlowStats, g.loadsFor(wr, report), cfg.TopK, cfg.ImbalanceRatio)
+		})
 	}
+	return applied
+}
+
+// stepRoute replaces workload id's flow router with step's result,
+// copy-on-write: step sees the current entry under g.mu, and requests
+// holding the previous snapshot keep its pins. Returns the migrations
+// step applied.
+func (g *Gateway) stepRoute(id uint32, step func(*workloadRoute) (*dispatch.Table, int)) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	old := g.routes.Load()
+	wr := old.m[id]
+	if wr == nil {
+		return 0
+	}
+	table, applied := step(wr)
+	if applied == 0 {
+		return 0
+	}
+	g.routes.Store(old.with(id, &workloadRoute{workers: wr.workers, Table: table, FlowStats: wr.FlowStats}))
+	g.migrations.Add(uint64(applied))
 	return applied
 }
 
@@ -284,63 +160,6 @@ func (g *Gateway) loadsFor(wr *workloadRoute, report []dispatch.Load) []dispatch
 	return out
 }
 
-// applyMigrations installs standing pins for the planned migrations via
-// a copy-on-write rebuild of the workload's route entry. Migrations
-// whose target left the route between planning and application are
-// skipped. Returns the number applied.
-func (g *Gateway) applyMigrations(id uint32, plan []dispatch.Migration) int {
-	if len(plan) == 0 {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	old := g.routes.Load()
-	wr := old.m[id]
-	if wr == nil {
-		return 0
-	}
-	index := make(map[string]int, len(wr.workers))
-	for i, w := range wr.workers {
-		index[w.String()] = i
-	}
-	pins := make(map[uint64]int, len(wr.pins)+len(plan))
-	for f, i := range wr.pins {
-		pins[f] = i
-	}
-	applied := 0
-	for _, mig := range plan {
-		to, ok := index[mig.To]
-		if !ok {
-			continue
-		}
-		// A migration landing the flow back on its ring owner is just an
-		// unpin: drop the override instead of storing a redundant pin.
-		if wr.ring.Pick(mig.Flow) == to {
-			if _, had := pins[mig.Flow]; had {
-				delete(pins, mig.Flow)
-				applied++
-			}
-			continue
-		}
-		if cur, had := pins[mig.Flow]; had && cur == to {
-			continue
-		}
-		pins[mig.Flow] = to
-		applied++
-	}
-	if applied == 0 {
-		return 0
-	}
-	next := make(map[uint32]*workloadRoute, len(old.m))
-	for wid, entry := range old.m {
-		next[wid] = entry
-	}
-	next[id] = &workloadRoute{workers: wr.workers, ring: wr.ring, pins: pins, stats: wr.stats}
-	g.routes.Store(&routeTable{m: next})
-	g.migrations.Add(uint64(applied))
-	return applied
-}
-
 // Migrations returns the total elephant-flow migrations applied.
 func (g *Gateway) Migrations() uint64 { return g.migrations.Load() }
 
@@ -350,7 +169,7 @@ func (g *Gateway) PinnedFlows() int {
 	rt := g.routes.Load()
 	n := 0
 	for _, wr := range rt.m {
-		n += wr.pinnedFlows()
+		n += wr.Pinned()
 	}
 	return n
 }

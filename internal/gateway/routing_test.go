@@ -11,48 +11,10 @@ import (
 	"lambdanic/internal/transport"
 )
 
-func TestFlowStatsObserveAndTopK(t *testing.T) {
-	fs := newFlowStats()
-	for i := 0; i < 100; i++ {
-		fs.observe(7)
-	}
-	for i := 0; i < 10; i++ {
-		fs.observe(8)
-	}
-	fs.observe(9)
-	top := fs.topK(2)
-	if len(top) != 2 || top[0].Flow != 7 || top[1].Flow != 8 {
-		t.Fatalf("topK = %+v", top)
-	}
-	if top[0].Rate != 100 {
-		t.Fatalf("rate = %d, want 100", top[0].Rate)
-	}
-}
-
-func TestFlowStatsDecayReclaims(t *testing.T) {
-	fs := newFlowStats()
-	fs.observe(5)
-	fs.decay()
-	if got := fs.topK(8); len(got) != 0 {
-		t.Fatalf("one-shot flow survived decay: %+v", got)
-	}
-	// An elephant decays but survives.
-	for i := 0; i < 64; i++ {
-		fs.observe(6)
-	}
-	fs.decay()
-	top := fs.topK(1)
-	if len(top) != 1 || top[0].Flow != 6 || top[0].Rate != 32 {
-		t.Fatalf("elephant after decay = %+v", top)
-	}
-}
-
-func TestFlowStatsZeroFlowIgnored(t *testing.T) {
-	fs := newFlowStats()
-	fs.observe(0)
-	if got := fs.topK(8); len(got) != 0 {
-		t.Fatalf("flow 0 tracked: %+v", got)
-	}
+// applyPlan installs plan on workload id's route through the same
+// copy-on-write step RebalanceOnce uses.
+func applyPlan(gw *Gateway, id uint32, plan ...dispatch.Migration) int {
+	return gw.stepRoute(id, func(wr *workloadRoute) (*dispatch.Table, int) { return wr.Apply(plan) })
 }
 
 // TestRebalancerMigratesElephant: an elephant flow on an overloaded
@@ -139,6 +101,43 @@ func TestRebalancerBalancedFleetNoops(t *testing.T) {
 	}
 }
 
+// TestRebalanceHonorsExplicitRatioOne: ImbalanceRatio 1 is a setting,
+// not "unset" — a worker at 1.2× the mean load is overloaded and sheds
+// its elephant.
+func TestRebalanceHonorsExplicitRatioOne(t *testing.T) {
+	n := transport.NewMemNetwork(67)
+	gw := newGateway(t, n)
+	names := []string{"w1", "w2", "w3"}
+	workers := make([]net.Addr, len(names))
+	for i, name := range names {
+		workers[i] = transport.MemAddr(name)
+	}
+	gw.SetRoute(1, workers)
+	wr := gw.routes.Load().m[1]
+	flow := dispatch.FlowKey("client", 1)
+	for i := 0; i < 50; i++ {
+		wr.Observe(flow)
+	}
+	hot := names[wr.Owner(flow)]
+	loads := func() []dispatch.Load {
+		out := make([]dispatch.Load, len(names))
+		for i, name := range names {
+			load := 9.0
+			if name == hot {
+				load = 12 // mean 10: the owner runs at 1.2x
+			}
+			out[i] = dispatch.Load{Worker: name, Load: load}
+		}
+		return out
+	}
+	if applied := gw.RebalanceOnce(RebalanceConfig{TopK: 4, ImbalanceRatio: 1, Loads: loads}); applied != 1 {
+		t.Fatalf("applied = %d, want 1 (elephant off the 1.2x worker)", applied)
+	}
+	if got := names[gw.routes.Load().m[1].Owner(flow)]; got == hot {
+		t.Fatalf("elephant still on %s", got)
+	}
+}
+
 // TestEvictDropsPinsToEvictedWorker: a pin whose target is evicted is
 // dropped (the flow reverts to its ring owner); pins to survivors are
 // remapped and keep working.
@@ -155,9 +154,9 @@ func TestEvictDropsPinsToEvictedWorker(t *testing.T) {
 
 	wr := gw.routes.Load().m[1]
 	flow := dispatch.FlowKey("client", 1)
-	owner := wr.ownerIndex(flow)
+	owner := wr.Owner(flow)
 	target := (owner + 1) % len(names)
-	gw.applyMigrations(1, []dispatch.Migration{{Flow: flow, From: names[owner], To: names[target]}})
+	applyPlan(gw, 1, dispatch.Migration{Flow: flow, From: names[owner], To: names[target]})
 	if gw.PinnedFlows() != 1 {
 		t.Fatalf("PinnedFlows = %d, want 1", gw.PinnedFlows())
 	}

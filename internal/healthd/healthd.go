@@ -22,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"lambdanic/internal/dispatch"
 )
 
 // Heartbeat is one worker liveness report, stored JSON-encoded in the
@@ -300,6 +302,20 @@ func (d *Detector) Snapshot(now time.Duration) []WorkerHealth {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
+	return out
+}
+
+// Loads is the rebalancer's load report at now: each Alive worker's
+// smoothed load, ordered by worker name. Suspect and Dead workers are
+// left out so migrations never target them.
+func (d *Detector) Loads(now time.Duration) []dispatch.Load {
+	snap := d.Snapshot(now)
+	out := make([]dispatch.Load, 0, len(snap))
+	for _, wh := range snap {
+		if wh.Status == StatusAlive {
+			out = append(out, dispatch.Load{Worker: wh.Worker, Load: wh.SmoothedLoad})
+		}
+	}
 	return out
 }
 

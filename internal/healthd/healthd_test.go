@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lambdanic/internal/dispatch"
 )
 
 const iv = 10 * time.Millisecond
@@ -257,4 +259,27 @@ func TestDaemonPoll(t *testing.T) {
 		t.Fatal("OnTransition never saw the death")
 	}
 	d.Stop() // never started: must not block
+}
+
+// TestLoadsAliveOnlyInNameOrder: the rebalancer's load report carries
+// each Alive worker's smoothed load, ordered by name; a silent worker
+// drops out once Check stops calling it Alive.
+func TestLoadsAliveOnlyInNameOrder(t *testing.T) {
+	d := NewDetector(Config{Interval: iv, SuspectAfter: 2, EvictAfter: 4, LoadAlpha: 1})
+	for i, w := range []string{"w3", "w1", "w2"} {
+		d.Observe(Heartbeat{Worker: w, Seq: 1, Load: i + 1}, 0)
+	}
+	for seq := uint64(2); seq <= 4; seq++ {
+		at := time.Duration(seq-1) * iv
+		d.Observe(Heartbeat{Worker: "w1", Seq: seq, Load: 5}, at)
+		d.Observe(Heartbeat{Worker: "w3", Seq: seq, Load: 7}, at)
+	}
+	want := []dispatch.Load{{Worker: "w1", Load: 5}, {Worker: "w2", Load: 3}, {Worker: "w3", Load: 7}}
+	if got := d.Loads(3 * iv); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Loads = %v, want %v", got, want)
+	}
+	d.Check(4 * iv) // w2 silent since t=0: no longer Alive
+	if got := d.Loads(4 * iv); !reflect.DeepEqual(got, []dispatch.Load{want[0], want[2]}) {
+		t.Fatalf("Loads after w2 went silent = %v, want w1 and w3 only", got)
+	}
 }
