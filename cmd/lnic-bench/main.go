@@ -24,7 +24,10 @@
 // wall-clock speed differs). -parallel runs the experiments that have a
 // multi-core path (scaleout, loadcurve, chaos, tenants, skew, boundary)
 // with per-NIC simulation domains under the conservative parallel
-// coordinator; results are bit-identical to the serial runs.
+// coordinator; results are bit-identical to the serial runs. After
+// chaos, tenants, skew and boundary it prints the coordinator's
+// counters (rounds, domain windows, inline rounds, events) as one
+// "sim:" line on stderr.
 // -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // The chaos experiment (not part of "all") crash-stops a worker NIC
@@ -125,6 +128,19 @@ import (
 	"lambdanic/internal/sim"
 	"lambdanic/internal/telemetry"
 )
+
+// printParStats writes a parallel rack run's coordinator counters as
+// one "sim:" line on stderr, so stdout and the JSON reports stay
+// identical to the serial run's. A serial run has no rounds and prints
+// nothing.
+func printParStats(st sim.ParallelStats) {
+	if st.Rounds == 0 {
+		return
+	}
+	per := func(n uint64) float64 { return float64(n) / float64(st.Rounds) }
+	fmt.Fprintf(os.Stderr, "sim: rounds=%d windows=%d (%.2f/round) inline=%d (%.0f%%) events=%d (%.2f/round)\n",
+		st.Rounds, st.Windows, per(st.Windows), st.Inline, 100*per(st.Inline), st.Events, per(st.Events))
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -320,6 +336,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		printParStats(rep.Par)
 		out(experiments.RenderChaos(rep))
 		if err := writeSLO(*sloOut, "SLO_chaos.json", rep.SLO); err != nil {
 			return err
@@ -345,6 +362,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		printParStats(rep.Par)
 		out(experiments.RenderTenants(rep))
 		if err := benchReport(*benchOut, "BENCH_tenants.json", *benchGuard, rep.Bench(),
 			"tenants rows identical to those", func(baseline, current benchio.Report) error {
@@ -373,6 +391,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		printParStats(rep.Par)
 		out(experiments.RenderSkew(rep))
 		// The run is virtual-clock and deterministic, so every policy's
 		// row must equal the baseline's exactly.
@@ -399,6 +418,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		printParStats(rep.Par)
 		out(experiments.RenderBoundary(rep))
 		// As for skew: every per-policy and per-phase row must equal
 		// the baseline's exactly.

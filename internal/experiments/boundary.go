@@ -284,6 +284,9 @@ type BoundaryReport struct {
 	Rows []BoundaryPolicyStat
 	// Domains is per policy run (1 serial; 2+NICs parallel).
 	Domains int
+	// Par is the parallel coordinator's work summed over the policy
+	// runs (zero on a shared clock).
+	Par sim.ParallelStats
 	// Pareto is the verdict: dynamic's p99 is within tolerance of the
 	// better static policy in every phase and overall, at strictly
 	// lower NIC-core cost than static-nic.
@@ -323,6 +326,7 @@ func boundary(cfg Config, bc BoundaryConfig, parallel bool) (*BoundaryReport, er
 		}
 		rep.Rows = append(rep.Rows, row)
 		rep.Domains = rk.domains()
+		rep.Par = rep.Par.Add(rk.parStats())
 	}
 	rep.Pareto = boundaryVerdict(bc, rep)
 	return rep, nil

@@ -113,6 +113,8 @@ type ChaosReport struct {
 	// Domains is the number of simulation domains the run used (1 for
 	// the shared-clock mode; 1 control + 1 per worker when parallel).
 	Domains int
+	// Par is the parallel coordinator's work (zero on a shared clock).
+	Par sim.ParallelStats
 	// Requests and Marks feed the Chrome trace export; fault events
 	// appear as global instant markers.
 	Requests []*obs.Req
@@ -393,6 +395,7 @@ func chaos(cfg Config, ch ChaosConfig, parallel bool) (*ChaosReport, error) {
 	rep.Executed = rk.executed()
 	rep.FinalClock = rk.clock()
 	rep.Domains = rk.domains()
+	rep.Par = rk.parStats()
 	if rep.KillAt == 0 {
 		return nil, errors.New("chaos: kill never fired (KillAt past Duration?)")
 	}

@@ -195,6 +195,14 @@ func (r *rack) domains() int {
 	return len(r.par.Domains())
 }
 
+// parStats is the parallel coordinator's work, zero on a shared clock.
+func (r *rack) parStats() sim.ParallelStats {
+	if r.par == nil {
+		return sim.ParallelStats{}
+	}
+	return r.par.Stats()
+}
+
 // every runs fn on the control clock at period, 2·period, … up to and
 // including the first tick at or past end: one event per tick, the
 // same event re-armed each time.

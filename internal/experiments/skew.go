@@ -188,6 +188,9 @@ type SkewReport struct {
 	Rows []SkewPolicyStat
 	// Domains is per policy run (1 serial; 1+Workers parallel).
 	Domains int
+	// Par is the parallel coordinator's work summed over the policy
+	// runs (zero on a shared clock).
+	Par sim.ParallelStats
 	// Affine is the verdict: pinned+mig beats round-robin on p99 AND on
 	// warm-hit rate.
 	Affine bool
@@ -285,6 +288,7 @@ func skew(cfg Config, sc SkewConfig, parallel bool) (*SkewReport, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 		rep.Domains = rk.domains()
+		rep.Par = rep.Par.Add(rk.parStats())
 	}
 	rep.Affine = skewVerdict(rep)
 	return rep, nil

@@ -146,6 +146,8 @@ type TenantsReport struct {
 	Executed   uint64
 	FinalClock time.Duration
 	Domains    int
+	// Par is the parallel coordinator's work (zero on a shared clock).
+	Par sim.ParallelStats
 	// SLO is the interactive tenant's full error-budget timeline.
 	SLO *telemetry.SLOReport
 }
@@ -303,6 +305,7 @@ func tenants(cfg Config, tc TenantsConfig, parallel bool) (*TenantsReport, error
 		Executed:     rk.executed(),
 		FinalClock:   rk.clock(),
 		Domains:      rk.domains(),
+		Par:          rk.parStats(),
 	}
 	for _, name := range names {
 		rep.InteractiveCompleted += rk.device(name).TenantCompleted(plane.vipID)

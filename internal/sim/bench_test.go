@@ -80,3 +80,47 @@ func BenchmarkSteadyHeap(b *testing.B)         { benchSteady(b, KernelHeap, fals
 func BenchmarkSteadyLadder(b *testing.B)       { benchSteady(b, KernelLadder, false, 32768) }
 func BenchmarkSteadyLadderPooled(b *testing.B) { benchSteady(b, KernelLadder, true, 32768) }
 func BenchmarkSteadyHeapPooled(b *testing.B)   { benchSteady(b, KernelHeap, true, 32768) }
+
+// BenchmarkParallelSparseRack is the rack scenarios' parallel shape:
+// one control domain plus 8 device domains at the rack's 450ns link
+// lookahead (OneWay(0)). The control domain issues a request every 2µs
+// round-robin over the devices; each device serves it for 1–5µs and
+// replies. Few events fall in each barrier round, so the cost per round
+// — peeks, rewinds, handoffs — is what this measures. One op is one
+// request's round trip.
+func BenchmarkParallelSparseRack(b *testing.B) {
+	const la = 450 * time.Nanosecond
+	p := NewParallel(la)
+	ctrl := p.NewDomain(1)
+	devs := make([]*Domain, 8)
+	for i := range devs {
+		devs[i] = p.NewDomain(int64(i + 2))
+	}
+	replies := 0
+	reply := func() { replies++ }
+	issued := 0
+	var issue func()
+	issue = func() {
+		d := devs[issued%len(devs)]
+		issued++
+		ctrl.Send(d.ID(), la, func() {
+			d.After(Time(1000+d.Rand().Intn(4000)), func() { d.Send(ctrl.ID(), la, reply) })
+		})
+		if issued < b.N {
+			ctrl.After(2*time.Microsecond, issue)
+		}
+	}
+	ctrl.At(0, issue)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := p.RunUntilIdle(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if replies != b.N {
+		b.Fatalf("%d replies for %d requests", replies, b.N)
+	}
+	st := p.Stats()
+	b.ReportMetric(float64(st.Rounds)/float64(b.N), "rounds/op")
+	b.ReportMetric(float64(st.Windows)/float64(st.Rounds), "windows/round")
+}

@@ -33,10 +33,12 @@ const (
 // into the current bucket are merged at materialization time — so the
 // (at, seq) total order is exactly the heap kernel's.
 //
-// The only rewind — a push below curVB, possible after a horizon stop
-// advanced the window past still-pending far entries — is handled by
-// the rare dump() path: everything moves to the far heap and the window
-// restarts at the pushed entry's bucket.
+// A push below curVB lowers the window (rewind). It happens after a
+// horizon stop advanced the window past still-pending far entries and,
+// routinely in parallel mode, when a barrier round's inbox delivers a
+// message below the bucket the coordinator's peek materialized. Only
+// the buckets that leave the lowered window move to the far heap, so a
+// rewind costs the range it evicts, not the wheel size.
 //
 // All storage is value-typed slices reused across buckets, so
 // steady-state push/first/shift does not allocate.
@@ -55,6 +57,9 @@ type ladder struct {
 	cur    []entry
 	curIdx int
 	curVB  uint64
+	// top bounds the highest vb in the wheel slots from above, so a
+	// rewind evicts only the slots that can hold an entry.
+	top uint64
 
 	far heapKernel
 }
@@ -85,15 +90,13 @@ func (l *ladder) push(e entry) {
 		return
 	}
 	if v < l.curVB {
-		// Rewind: the window advanced past this time (horizon stop plus
-		// a far-band materialization jump). Rare — reset via the heap.
-		l.dump()
-		l.curVB = v
+		l.rewind(v)
 	}
 	if v < l.curVB+l.nb {
 		idx := v & l.mask
 		l.buckets[idx] = append(l.buckets[idx], e)
 		l.near++
+		l.top = max(l.top, v)
 		return
 	}
 	l.far.push(e)
@@ -193,24 +196,35 @@ func (l *ladder) shift() {
 	l.near--
 }
 
-// dump moves every wheel entry (all buckets plus the undrained tail of
-// cur) into the far heap, emptying the near band so the window can be
-// re-anchored. Rare: only the rewind path in push uses it.
-func (l *ladder) dump() {
-	for i := range l.buckets {
-		for _, e := range l.buckets[i] {
-			l.far.push(e)
-		}
-		l.buckets[i] = l.buckets[i][:0]
-	}
+// rewind lowers the window floor from curVB to v. The lowered window
+// [v, v+nb) keeps the wheel's vbs below v+nb in their slots; the ones
+// it drops, vbs [v+nb, top], move to the far heap, where
+// materialization merges them back in (at, seq) order. cur's undrained
+// tail returns to its slot first. The cost is the evicted range, which
+// is empty when the wheel holds only the near future — the routine
+// case in parallel mode — and at most nb slots for a rewind by a whole
+// window or more.
+func (l *ladder) rewind(v uint64) {
 	if l.cur != nil {
-		for _, e := range l.cur[l.curIdx:] {
+		n := copy(l.cur, l.cur[l.curIdx:])
+		clear(l.cur[n:])
+		l.buckets[l.curVB&l.mask] = l.cur[:n]
+		l.cur = nil
+		if n > 0 {
+			l.top = max(l.top, l.curVB)
+		}
+	}
+	for u := max(v+l.nb, l.curVB); u <= l.top && l.near > 0; u++ {
+		b := l.buckets[u&l.mask]
+		for _, e := range b {
 			l.far.push(e)
 		}
-		l.buckets[l.curVB&l.mask] = l.cur[:0]
-		l.cur = nil
+		l.near -= len(b)
+		clear(b)
+		l.buckets[u&l.mask] = b[:0]
 	}
-	l.near = 0
+	l.top = min(l.top, v+l.nb-1)
+	l.curVB = v
 }
 
 // sortEntries orders a bucket by (at, seq) in place without allocating:

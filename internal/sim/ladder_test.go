@@ -196,6 +196,70 @@ func TestLadderRewind(t *testing.T) {
 	}
 }
 
+// TestLadderBoundedRewind drives the parallel coordinator's pattern on
+// both kernels: a peek materializes a future bucket, then pushes land
+// below it. Some pending entries sit near the top of the materialized
+// window, beyond the lowered one, and must leave the wheel for the far
+// band; a rewind of more than a whole window empties the wheel. The
+// fire order must be the heap's.
+func TestLadderBoundedRewind(t *testing.T) {
+	window := Time(defaultBuckets) * defaultGranularity
+	script := func(kind KernelKind, seed int64) []fuzzRecord {
+		s := NewWithKernel(seed, kind)
+		cmd := rand.New(rand.NewSource(seed))
+		var log []fuzzRecord
+		id := 0
+		at := func(t Time) {
+			n := id
+			id++
+			s.At(t, func() { log = append(log, fuzzRecord{id: n, at: s.Now()}) })
+		}
+		for round := 0; round < 200; round++ {
+			now := s.Now()
+			// A future bucket the peek materializes: near (a few
+			// buckets up, as a link hop), or far (a control timer).
+			ahead := Time(1+cmd.Intn(40)) * defaultGranularity
+			if cmd.Intn(8) == 0 {
+				ahead = window + Time(cmd.Intn(int(window)))
+			}
+			at(now + ahead)
+			if _, ok := s.nextAt(); !ok {
+				t.Fatal("peek found nothing")
+			}
+			// Entries near the top of the window the peek anchored: in
+			// the wheel now, beyond the window the next pushes lower it
+			// to.
+			for i := 0; i < 3; i++ {
+				at(now + ahead + window - Time(1+cmd.Intn(int(ahead))))
+			}
+			// Pushes below the materialized bucket.
+			for i := 0; i < 1+cmd.Intn(4); i++ {
+				at(now + Time(cmd.Intn(int(ahead))))
+			}
+			for i := 0; i < 1+cmd.Intn(6); i++ {
+				if !s.Step() {
+					break
+				}
+			}
+		}
+		if err := s.RunUntilIdle(); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		return append(log, fuzzRecord{id: int(s.Executed), at: s.Now(), end: true})
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		heap, ladder := script(KernelHeap, seed), script(KernelLadder, seed)
+		if len(heap) != len(ladder) {
+			t.Fatalf("seed %d: heap fired %d, ladder %d", seed, len(heap), len(ladder))
+		}
+		for i := range heap {
+			if heap[i] != ladder[i] {
+				t.Fatalf("seed %d fire %d: heap %+v, ladder %+v", seed, i, heap[i], ladder[i])
+			}
+		}
+	}
+}
+
 // TestStepHonorsStopped is the regression test for the satellite fix:
 // Step used to pop events even after Stop.
 func TestStepHonorsStopped(t *testing.T) {

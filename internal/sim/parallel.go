@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Parallel coordinates several simulation domains — each a full Sim
@@ -12,11 +13,13 @@ import (
 //
 // The protocol is null-message-free barrier rounds. Each round the
 // coordinator takes tmin, the earliest pending event time across all
-// domains, and lets every domain execute events strictly before
-// tmin + lookahead concurrently. Cross-domain interactions go through
-// Domain.Send, which models a link of latency >= lookahead; outboxes
-// are collected at the barrier and delivered before the next round in
-// a deterministic (at, src, order) sort. Because a message sent at
+// domains, and lets every domain with an event strictly before
+// tmin + lookahead execute up to there, concurrently; the others sit
+// the round out, and a lone active domain runs on the coordinator.
+// Cross-domain interactions go through Domain.Send, which models a
+// link of latency >= lookahead; outboxes are collected at the barrier
+// and delivered before the next round in a deterministic
+// (at, src, order) sort. Because a message sent at
 // time t >= tmin arrives at t + lookahead >= tmin + lookahead — at or
 // after the window edge every domain stopped at — no domain can
 // receive an event in its past, and the round's executions are
@@ -38,6 +41,41 @@ type Parallel struct {
 	// on the calling goroutine — same results, no concurrency. Tests
 	// use it to prove the parallel execution is interleaving-free.
 	Serial bool
+
+	stats ParallelStats
+}
+
+// ParallelStats counts a group's coordination work across every Run —
+// where the wall time of a parallel run goes besides firing events.
+type ParallelStats struct {
+	// Rounds is the number of barrier rounds (one per Run for an
+	// independent group).
+	Rounds uint64
+	// Windows is the number of domain windows run: one per active
+	// domain per round. Windows/Rounds is the parallelism on offer.
+	Windows uint64
+	// Inline is the number of rounds run on the coordinator goroutine
+	// with no worker handoff: a lone active domain, or Serial.
+	Inline uint64
+	// Events is the number of events fired, summed across domains.
+	Events uint64
+}
+
+// Add sums two groups' counters.
+func (s ParallelStats) Add(o ParallelStats) ParallelStats {
+	return ParallelStats{
+		Rounds:  s.Rounds + o.Rounds,
+		Windows: s.Windows + o.Windows,
+		Inline:  s.Inline + o.Inline,
+		Events:  s.Events + o.Events,
+	}
+}
+
+// Stats returns the group's coordination counters.
+func (p *Parallel) Stats() ParallelStats {
+	st := p.stats
+	st.Events = p.Executed()
+	return st
 }
 
 // Domain is one simulation domain inside a Parallel group. It embeds
@@ -145,6 +183,11 @@ func (p *Parallel) Run(horizon Time) error {
 		d.stopped = false
 	}
 	if p.lookahead <= 0 {
+		p.stats.Rounds++
+		p.stats.Windows += uint64(len(p.domains))
+		if p.Serial {
+			p.stats.Inline++
+		}
 		return p.runRound(func(d *Domain) error { return d.Sim.Run(horizon) })
 	}
 
@@ -172,52 +215,68 @@ func (p *Parallel) Run(horizon Time) error {
 			}
 		}()
 	}
+	// round runs the active domains — those with an event below limit;
+	// any other domain would fire nothing and keep its clock. The last
+	// active domain runs on this goroutine, so a lone one needs no
+	// worker handoff at all.
+	var active []int
 	round := func(limit Time) error {
-		if p.Serial {
-			for i, d := range p.domains {
-				errs[i] = d.Sim.runWindow(limit)
+		p.stats.Rounds++
+		p.stats.Windows += uint64(len(active))
+		if p.Serial || len(active) == 1 {
+			p.stats.Inline++
+			for _, i := range active {
+				errs[i] = p.domains[i].Sim.runWindow(limit)
 			}
 		} else {
-			for _, c := range starts {
-				c <- limit
+			last := active[len(active)-1]
+			for _, i := range active[:len(active)-1] {
+				starts[i] <- limit
 			}
-			for range p.domains {
+			errs[last] = p.domains[last].Sim.runWindow(limit)
+			for range active[1:] {
 				<-done
 			}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return firstErr(errs)
 	}
 
 	var inbox []xmsg
+	next := make([]Time, len(p.domains)) // -1: nothing pending
 	for {
-		// Deliver last round's cross-domain messages in a deterministic
-		// order so destination seq assignment (and thus tie-breaks)
-		// never depends on worker interleaving.
-		sort.Slice(inbox, func(i, j int) bool {
-			a, b := inbox[i], inbox[j]
-			if a.at != b.at {
-				return a.at < b.at
+		// Collect every outbox — also those of a round that ended in
+		// Stop, left over from the previous Run — and deliver in a
+		// deterministic order, so destination seq assignment (and thus
+		// tie-breaks) never depends on worker interleaving.
+		for _, d := range p.domains {
+			inbox = append(inbox, d.out...)
+			clear(d.out)
+			d.out = d.out[:0]
+		}
+		slices.SortFunc(inbox, func(a, b xmsg) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			if a.src != b.src {
-				return a.src < b.src
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
 			}
-			return a.order < b.order
+			return cmp.Compare(a.order, b.order)
 		})
 		for _, m := range inbox {
 			p.domains[m.dst].At(m.at, m.fn)
 		}
+		clear(inbox)
 		inbox = inbox[:0]
 
 		tmin, any := Time(0), false
-		for _, d := range p.domains {
-			if at, ok := d.nextAt(); ok && (!any || at < tmin) {
+		for i, d := range p.domains {
+			at, ok := d.nextAt()
+			if !ok {
+				at = -1
+			} else if !any || at < tmin {
 				tmin, any = at, true
 			}
+			next[i] = at
 		}
 		if !any {
 			break
@@ -231,12 +290,14 @@ func (p *Parallel) Run(horizon Time) error {
 			// itself, matching Run's at <= horizon.
 			limit = horizon + 1
 		}
+		active = active[:0]
+		for i, at := range next {
+			if at >= 0 && at < limit {
+				active = append(active, i)
+			}
+		}
 		if err := round(limit); err != nil {
 			return err
-		}
-		for _, d := range p.domains {
-			inbox = append(inbox, d.out...)
-			d.out = d.out[:0]
 		}
 	}
 	if horizon > 0 {
@@ -253,8 +314,7 @@ func (p *Parallel) Run(horizon Time) error {
 func (p *Parallel) RunUntilIdle() error { return p.Run(0) }
 
 // runRound executes body for every domain — concurrently, one
-// goroutine per domain, unless Serial is set. The first error in
-// domain-id order wins, so error reporting is deterministic too.
+// goroutine per domain, unless Serial is set.
 func (p *Parallel) runRound(body func(*Domain) error) error {
 	errs := make([]error, len(p.domains))
 	if p.Serial {
@@ -273,6 +333,13 @@ func (p *Parallel) runRound(body func(*Domain) error) error {
 			<-done
 		}
 	}
+	return firstErr(errs)
+}
+
+// firstErr returns the first non-nil error in domain-id order, so error
+// reporting is deterministic too. A non-nil error ends Run, so errs
+// never carries one over from an earlier round.
+func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err

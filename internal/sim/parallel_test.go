@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -53,7 +54,7 @@ func TestParallelPingPong(t *testing.T) {
 // requires identical executed counts, clocks, and per-domain logs:
 // the proof that results never depend on worker interleaving.
 func TestParallelMatchesSerial(t *testing.T) {
-	run := func(serial bool) ([]uint64, []Time, [][]Time) {
+	run := func(serial bool) ([]uint64, []Time, [][]Time, ParallelStats) {
 		const la = time.Microsecond
 		p := NewParallel(la)
 		p.Serial = serial
@@ -93,11 +94,16 @@ func TestParallelMatchesSerial(t *testing.T) {
 			execs[i] = d.Executed
 			clocks[i] = d.Now()
 		}
-		return execs, clocks, logs
+		return execs, clocks, logs, p.Stats()
 	}
 
-	se, sc, sl := run(true)
-	pe, pc, pl := run(false)
+	se, sc, sl, sst := run(true)
+	pe, pc, pl, pst := run(false)
+	// Serial runs every round inline; the rest of the counters match.
+	sst.Inline, pst.Inline = 0, 0
+	if sst != pst {
+		t.Fatalf("stats %+v serial vs %+v parallel", sst, pst)
+	}
 	for i := range se {
 		if se[i] != pe[i] {
 			t.Fatalf("domain %d executed %d serial vs %d parallel", i, se[i], pe[i])
@@ -201,5 +207,110 @@ func TestParallelSendClampsDelay(t *testing.T) {
 	}
 	if arrived != la {
 		t.Fatalf("arrived at %v, want clamped to lookahead %v", arrived, la)
+	}
+}
+
+// TestParallelResumeDeliversStoppedRoundOutbox is the regression test
+// for messages sent in a round that ends in Stop: they must be
+// delivered at their send time plus delay when Run resumes, not a round
+// late and clamped into the destination's past.
+func TestParallelResumeDeliversStoppedRoundOutbox(t *testing.T) {
+	const la = time.Microsecond
+	p := NewParallel(la)
+	a, b, c := p.NewDomain(1), p.NewDomain(2), p.NewDomain(3)
+	var got []Time
+	a.At(0, a.Stop)
+	b.At(0, func() {
+		b.Send(c.ID(), la, func() { got = append(got, c.Now()) })
+	})
+	c.At(1500*time.Nanosecond, func() { got = append(got, c.Now()) })
+	if err := p.RunUntilIdle(); err != ErrStopped {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	if err := p.RunUntilIdle(); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	want := []Time{la, 1500 * time.Nanosecond}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("domain 2 fired at %v, want %v", got, want)
+	}
+}
+
+// TestParallelStats pins the coordinator's counters on a ping-pong that
+// stops at its sixth hop: one round per hop, a third domain active only
+// in the first round (which therefore hands off to a worker), every
+// other round inline. A fourth domain, whose one event lies beyond the
+// run, sits every round out: its executed count and clock stay zero.
+func TestParallelStats(t *testing.T) {
+	const la = 450 * time.Nanosecond
+	for _, serial := range []bool{false, true} {
+		p := NewParallel(la)
+		p.Serial = serial
+		a, b, c, idle := p.NewDomain(1), p.NewDomain(2), p.NewDomain(3), p.NewDomain(4)
+		idle.At(time.Millisecond, func() {})
+		hops := 0
+		var hop func(d, peer *Domain) func()
+		hop = func(d, peer *Domain) func() {
+			return func() {
+				if hops++; hops == 6 {
+					d.Stop()
+					return
+				}
+				d.Send(peer.ID(), la, hop(peer, d))
+			}
+		}
+		a.At(0, hop(a, b))
+		c.At(100*time.Nanosecond, func() {})
+		if err := p.RunUntilIdle(); err != ErrStopped {
+			t.Fatalf("serial=%v: err = %v, want ErrStopped", serial, err)
+		}
+		if idle.Executed != 0 || idle.Now() != 0 {
+			t.Fatalf("serial=%v: idle domain executed %d, clock %v; want 0, 0",
+				serial, idle.Executed, idle.Now())
+		}
+		want := ParallelStats{Rounds: 6, Windows: 7, Inline: 5, Events: 7}
+		if serial {
+			want.Inline = 6
+		}
+		if st := p.Stats(); st != want {
+			t.Fatalf("serial=%v: stats %+v, want %+v", serial, st, want)
+		}
+	}
+}
+
+// TestParallelTwoStopsOneRound: two domains stopping in the same round
+// end Run after the round, each halted right after its own Stop, while
+// the third active domain finishes its window; resuming fires the rest.
+// Run reports the first error in domain-id order.
+func TestParallelTwoStopsOneRound(t *testing.T) {
+	p := NewParallel(time.Microsecond)
+	a, b, c := p.NewDomain(1), p.NewDomain(2), p.NewDomain(3)
+	b.At(100, b.Stop)
+	b.At(200, func() {})
+	c.At(100, c.Stop)
+	c.At(300, func() {})
+	a.At(100, func() {})
+	a.At(900, func() {})
+	if err := p.RunUntilIdle(); err != ErrStopped {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	if a.Executed != 2 || b.Executed != 1 || c.Executed != 1 {
+		t.Fatalf("executed %d %d %d, want 2 1 1", a.Executed, b.Executed, c.Executed)
+	}
+	if a.Now() != 900 || b.Now() != 100 || c.Now() != 100 {
+		t.Fatalf("clocks %v %v %v, want 900ns 100ns 100ns", a.Now(), b.Now(), c.Now())
+	}
+	if err := p.RunUntilIdle(); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if b.Executed != 2 || b.Now() != 200 || c.Executed != 2 || c.Now() != 300 {
+		t.Fatalf("after resume: executed %d %d, clocks %v %v", b.Executed, c.Executed, b.Now(), c.Now())
+	}
+
+	// Both domains report the ErrStopped sentinel; which one Run
+	// returns is fixed by domain id.
+	e1, e2 := errors.New("one"), errors.New("two")
+	if got := firstErr([]error{nil, e1, e2}); got != e1 {
+		t.Fatalf("firstErr = %v, want the lower id's %v", got, e1)
 	}
 }
